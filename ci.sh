@@ -18,8 +18,9 @@
 # experiment whose run report must pass the full metrics_check gate),
 # the calibration gate (`repro validate` must pass all of the
 # reproduction's shape checks at the default seed and scale, the same
-# checks the committed `repro_output.txt` ends with), and the
-# serving-layer gate: `caf-serve` is started on an ephemeral
+# checks the committed `repro_output.txt` ends with), the golden
+# byte-identity gate (`repro all` at 1 and 4 workers must print exactly
+# the committed `repro_output.txt`), and the serving-layer gate: `caf-serve` is started on an ephemeral
 # port at two HTTP worker counts, its `/v1/table2` response is
 # byte-compared against the golden artifact the same repro run wrote,
 # its `/v1/debug/traces` flight recorder must show the request's span
@@ -39,7 +40,7 @@
 # smoke validates `BENCH_challenge.json` (with the >= 5x incremental
 # speedup gate on hosts with >= 4 cores). The sweep determinism gate
 # runs the release `caf-sweep` binary over the committed
-# `testdata/sweep_spec.json` at {1,4} workers with stealing on and off
+# `testdata/sweep_spec.json` at {1,4} workers, stealing vs pinned lanes,
 # and byte-compares all four results.json/results.csv emissions (the
 # grid-cell determinism contract), and the sweep bench smoke validates
 # `BENCH_sweep.json` (with the >= 1.0x 4-worker sweep speedup gate on
@@ -212,6 +213,18 @@ cargo run --release -q -p caf-bench --bin metrics_check -- "$ci_out/obs_smoke.js
 # seed and scale. `repro validate` exits 1 on any FAIL.
 gate "calibration gate: repro validate (all shape checks pass)"
 ./target/release/repro validate
+
+# The golden byte-identity gate: `repro all` must print exactly the
+# committed golden at 1 and 4 workers — every stage that fans out on
+# the executor, the sensitivity sweep included. Run from the CI output
+# dir so the artifacts `repro all` dumps stay out of the worktree.
+gate "golden gate: repro all at 1 and 4 workers == repro_output.txt"
+for golden_workers in 1 4; do
+  (cd "$ci_out" && "$OLDPWD/target/release/repro" all --workers "$golden_workers" \
+    >"repro_all.w$golden_workers.txt" 2>/dev/null)
+  cmp "$ci_out/repro_all.w$golden_workers.txt" repro_output.txt
+done
+echo "    repro all is byte-identical to repro_output.txt at 1 and 4 workers"
 
 # The serving-layer gate. The /v1/table2 bytes must equal the golden
 # artifact repro just wrote — the determinism contract extended across
@@ -455,11 +468,11 @@ else
 fi
 
 # The sweep determinism gate: the committed grid spec must emit
-# byte-identical results.json/results.csv at {1,4} workers with the
-# stealing executor on and off — the grid-cell determinism contract
-# the /v1/sweep cache, the results tables, and the bench baselines all
-# rely on. The 1-worker static run is the reference.
-gate "sweep determinism gate: {1,4} workers x steal on/off byte-identity"
+# byte-identical results.json/results.csv at {1,4} workers, stealing
+# vs pinned lanes — the grid-cell determinism contract the /v1/sweep
+# cache, the results tables, and the bench baselines all rely on. The
+# 1-worker pinned-lane run is the reference.
+gate "sweep determinism gate: {1,4} workers x stealing vs pinned lanes byte-identity"
 sweep_ref="$ci_out/sweep_w1_static"
 ./target/release/caf-sweep --spec testdata/sweep_spec.json \
   --out "$sweep_ref" --workers 1 --no-steal 2>/dev/null

@@ -4,8 +4,7 @@
 //!
 //! ```text
 //! repro <experiment>... [--scale N] [--seed N] [--workers N|auto]
-//!                       [--shard-threshold N] [--metrics FILE]
-//!                       [--artifacts DIR] [--quiet]
+//!                       [--metrics FILE] [--artifacts DIR] [--quiet]
 //! repro all [--scale N]
 //! ```
 //!
@@ -15,13 +14,6 @@
 //! clamps to its unit count at run time). The engine's determinism
 //! contract guarantees the numbers below are identical at every worker
 //! count — only wall-clock time changes.
-//!
-//! `--shard-threshold N` tunes the cost-aware shard planner: a unit
-//! whose estimated cost exceeds `N` percent of the ideal per-worker
-//! share is split into sub-unit shards (`0` disables sharding; default
-//! 25 — see DESIGN.md §2.1). The flag takes precedence over the
-//! `CAF_SHARD_THRESHOLD` environment variable and, like `--workers`,
-//! can only move wall-clock time, never results.
 //!
 //! `--metrics FILE` turns on the `caf-obs` telemetry layer and writes a
 //! machine-readable run report (spans, counters, gauges, histograms —
@@ -51,7 +43,7 @@ use caf_core::q3::{BlockComparison, BlockType, ComparisonOutcome};
 use caf_core::sensitivity::SensitivityAnalysis;
 use caf_core::{
     Audit, AuditConfig, EfficacyReport, EngineConfig, Q3Analysis, SamplingRule,
-    ServiceabilityAnalysis, ShardPolicy,
+    ServiceabilityAnalysis,
 };
 use caf_geo::{AddressId, BlockId, UsState};
 use caf_obs::RunReport;
@@ -121,7 +113,6 @@ fn parse_args() -> Options {
     let mut scale = 30;
     let mut q3_scale = 10;
     let mut engine = EngineConfig::default();
-    let mut shard: Option<ShardPolicy> = None;
     let mut metrics = None;
     let mut artifacts = None;
     let mut quiet = false;
@@ -161,15 +152,6 @@ fn parse_args() -> Options {
                     )
                 };
             }
-            "--shard-threshold" => {
-                let value = args.next().unwrap_or_else(|| {
-                    die("--shard-threshold needs an integer percent (0 disables sharding)")
-                });
-                if value.trim().parse::<u32>().is_err() {
-                    die("--shard-threshold needs an integer percent (0 disables sharding)");
-                }
-                shard = Some(ShardPolicy::from_env_value(Some(&value)));
-            }
             "--metrics" => {
                 metrics = Some(std::path::PathBuf::from(
                     args.next()
@@ -187,7 +169,7 @@ fn parse_args() -> Options {
             "--help" | "-h" => {
                 println!(
                     "repro <experiment>... [--scale N] [--seed N] [--workers N|auto] \
-                     [--shard-threshold N] [--metrics FILE] [--artifacts DIR] [--quiet]"
+                     [--metrics FILE] [--artifacts DIR] [--quiet]"
                 );
                 println!("experiments: {}", ALL.join(" "));
                 std::process::exit(0);
@@ -198,11 +180,6 @@ fn parse_args() -> Options {
     }
     if experiments.is_empty() {
         die("no experiment given; try `repro all` or see --help");
-    }
-    // Applied after the loop so the flag wins regardless of whether it
-    // appears before or after `--workers` (which rebuilds the engine).
-    if let Some(policy) = shard {
-        engine = engine.with_shard_policy(policy);
     }
     Options {
         experiments,

@@ -8,9 +8,9 @@
 //! [`caf_exec::UnitPlan`] unit with **per-task cost hints** derived from
 //! each ISP's calibrated latency model (AT&T's ~25 s median vs. the
 //! cable competitors' ~3 s — Figure 11), so the planner shards the heavy
-//! ISPs finer and dispatches them first. By default shards then run on
-//! the work-stealing executor ([`caf_exec::map_units_stealing`]), which
-//! absorbs the heavy-tailed per-query latency the static plan cannot
+//! ISPs finer and deals them first. Shards then run on the engine's
+//! work-stealing executor ([`caf_exec::map_units_with`]), which by
+//! default absorbs the heavy-tailed per-query latency the plan cannot
 //! predict. Because every query's randomness is keyed by the
 //! (address, ISP) pair, the result set is **identical for any worker
 //! count, shard policy, or steal schedule** — parallelism changes
@@ -20,7 +20,7 @@
 //! error counts (Table 2), per-CBG coverage fractions (Figures 7/8), and
 //! the per-address query-time distribution (Figure 11).
 
-use caf_exec::{map_units, map_units_stealing, CostHint, Shard, ShardPolicy, UnitPlan};
+use caf_exec::{map_units_with, CostHint, Shard, ShardPolicy, UnitPlan};
 use caf_geo::AddressId;
 use caf_synth::params::{CalibrationParams, ErrorCategory};
 use caf_synth::{Isp, TruthTable};
@@ -61,7 +61,8 @@ pub struct CampaignConfig {
     /// the wall-clock estimate (and the throttle-wait statistic) only —
     /// query outcomes never depend on it.
     pub throttle: ThrottlePolicy,
-    /// Run shards on the work-stealing executor (default). Stealing is
+    /// Let idle workers steal shards from other lanes (default); `false`
+    /// pins every shard to the lane the plan dealt it to. Stealing is
     /// schedule-only: results are byte-identical either way, so the flag
     /// exists for A/B benchmarking and bisection, not correctness.
     pub steal: bool,
@@ -115,7 +116,7 @@ impl Default for CampaignConfig {
             throttle: ThrottlePolicy::polite(),
             steal: true,
             adaptive_retry: false,
-            shard: ShardPolicy::resolve(),
+            shard: ShardPolicy::default_policy(),
         }
     }
 }
@@ -321,7 +322,7 @@ impl Campaign {
     pub fn run(&self, truth: &TruthTable, tasks: &[QueryTask]) -> CampaignResult {
         let _span = caf_obs::span("bqt.campaign");
         let plan = self.plan_for(tasks);
-        let shard_results = self.execute_plan(truth, tasks, &plan, None);
+        let shard_results = self.run_plan(truth, tasks, &plan, None);
         // One unit spanning the whole task list: shard ranges are
         // contiguous ascending, so concatenation restores task order.
         let mut records = Vec::with_capacity(tasks.len());
@@ -360,7 +361,7 @@ impl Campaign {
     /// (seed, address, ISP) — never on which worker ran the shard or in
     /// what order. When a checkpoint sink is given, completed shards are
     /// reported to it from inside the executor.
-    pub(crate) fn execute_plan(
+    pub(crate) fn run_plan(
         &self,
         truth: &TruthTable,
         tasks: &[QueryTask],
@@ -386,11 +387,7 @@ impl Campaign {
             }
             (shard.range.clone(), recs)
         };
-        let grouped = if cfg.steal {
-            map_units_stealing(plan, work)
-        } else {
-            map_units(plan, work)
-        };
+        let (grouped, _) = map_units_with(plan, cfg.steal, work);
         grouped.into_iter().flatten().collect()
     }
 

@@ -495,7 +495,7 @@ impl Campaign {
                 &[missing],
             );
             let sink = CheckpointSink::new(path.clone(), checkpoint.every, meta.clone(), &slots);
-            let shard_results = self.execute_plan(truth, tasks, &plan, Some(&sink));
+            let shard_results = self.run_plan(truth, tasks, &plan, Some(&sink));
             let (flushes, error) = sink.into_outcome();
             caf_obs::count("caf.bqt.checkpoint.flushes", flushes);
             if let Some(e) = error {

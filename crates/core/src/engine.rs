@@ -13,9 +13,10 @@
 //! `caf-synth`, chunked bootstrap resampling in `caf-stats` — share the
 //! same pool and the same determinism contract (see the `caf_exec`
 //! crate docs). This module re-exports the whole surface, so audit
-//! callers keep importing `crate::engine::{map_slice, EngineConfig}`
+//! callers keep importing `crate::engine::{map_units, EngineConfig}`
 //! exactly as before the extraction.
 
 pub use caf_exec::{
-    map_slice, map_units, state_seed, CostHint, EngineConfig, Shard, ShardPolicy, UnitPlan,
+    map_units, map_units_with, state_seed, CostHint, EngineConfig, Shard, ShardPolicy, StealStats,
+    UnitPlan,
 };

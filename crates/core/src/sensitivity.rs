@@ -7,7 +7,7 @@
 //! random samples at varying rates. Errors stay under 5 percentage points
 //! at every rate, evidencing diminishing returns from extra queries.
 
-use crate::engine::{map_slice, EngineConfig};
+use crate::engine::{map_units, CostHint, EngineConfig};
 use caf_bqt::{Campaign, CampaignConfig, QueryTask};
 use caf_geo::AddressId;
 use caf_synth::rng::scoped_rng;
@@ -157,9 +157,12 @@ impl SensitivityAnalysis {
         // in the paper; sub-sampling matches its method). Each rate is an
         // independent work unit — its redraws are keyed by
         // `(ri, ci, rep)`, never by a shared stream — so the sweep fans
-        // out on the engine pool with byte-identical results.
-        let sweep_workers = engine.for_units(rates.len()).workers;
-        let sweep = map_slice(sweep_workers, rates, |ri, &rate| {
+        // out on the engine pool with byte-identical results. Rates cost
+        // about the same, so each is one opaque unit of equal cost.
+        let plan = engine.plan(&vec![CostHint::opaque(1); rates.len()]);
+        let sweep = map_units(&plan, |shard| {
+            let ri = shard.unit;
+            let rate = rates[ri];
             let mut errors: Vec<f64> = Vec::new();
             for (ci, addresses) in cbg_addresses.iter().enumerate() {
                 let outcomes = &cbg_outcomes[ci];
@@ -202,7 +205,10 @@ impl SensitivityAnalysis {
                 mean_abs_error_pct: mean,
                 max_abs_error_pct: max,
             }
-        });
+        })
+        .into_iter()
+        .flatten()
+        .collect();
 
         SensitivityAnalysis {
             cbgs_used: cbg_addresses.len(),

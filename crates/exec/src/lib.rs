@@ -14,19 +14,17 @@
 //! ([`check::check`]). `caf_core::engine` re-exports everything here,
 //! so audit-level callers are unaffected by the extraction.
 //!
-//! Three scheduling granularities share one determinism contract:
-//!
-//! - [`map_slice`] schedules whole units (one item = one task) — the
-//!   right tool when units are roughly even.
-//! - [`map_units`] schedules *shards* of units from a cost-hinted
-//!   [`UnitPlan`] — the right tool when the unit cost distribution is
-//!   heavy-tailed (one giant state dominating the merge barrier). See
-//!   the [`plan`] module for the splitting/LPT policy.
-//! - [`map_units_stealing`] executes the same plan on per-worker
-//!   deques with tail stealing — the right tool when cost hints are
-//!   only approximate (BQT campaign latencies). See the [`steal`]
-//!   module for the seeding/victim policy and why output stays
-//!   byte-identical to the static path.
+//! There is one executor. Callers describe their units with cost hints
+//! and build a [`UnitPlan`], which splits heavy-tailed units into
+//! *shards* (one giant state would otherwise dominate the merge
+//! barrier) and deals the shards into one lane per worker — see the
+//! [`plan`] module for the splitting/LPT policy. [`map_units`] then
+//! runs the plan on a pool of per-worker deques seeded from those
+//! lanes, idle workers stealing from the tail of the most-loaded lane,
+//! which absorbs cost hints that are only approximate (BQT campaign
+//! latencies). [`map_units_with`] can pin every shard to its dealt
+//! lane instead. See the [`steal`] module for the victim policy and
+//! why output stays byte-identical at any schedule.
 //!
 //! # The determinism contract
 //!
@@ -44,10 +42,10 @@
 //! 2. **Unit isolation.** Units share only immutable inputs. Nothing a
 //!    unit computes feeds another unit. Shards additionally cover
 //!    *contiguous, disjoint* element ranges of their unit.
-//! 3. **Ordered merge.** Both entry points return results positionally
-//!    — [`map_slice`] in item order, [`map_units`] grouped per unit
-//!    with shards in ascending element order — so concatenating
-//!    partials reproduces the sequential loop's output exactly.
+//! 3. **Ordered merge.** The executor returns results positionally —
+//!    grouped per unit with shards in ascending element order — so
+//!    concatenating partials reproduces the sequential loop's output
+//!    exactly.
 //!
 //! Engine-level stochastic decisions (none exist today; e.g. a future
 //! per-unit retry jitter) must derive their stream from [`state_seed`],
@@ -64,12 +62,10 @@ pub mod steal;
 
 pub use check::check;
 pub use plan::{CostHint, Shard, ShardPolicy, UnitPlan};
-pub use steal::{map_units_stealing, map_units_stealing_stats, StealStats};
+pub use steal::{map_units, map_units_with, StealStats};
 
 use caf_geo::UsState;
 use rng::{mix, mix_str};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::time::Instant;
 
 /// How the engine schedules independent work units.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,9 +75,7 @@ pub struct EngineConfig {
     pub workers: usize,
     /// When (and how finely) cost-hinted units are split into shards by
     /// [`EngineConfig::plan`]. Purely a wall-clock knob: results are
-    /// byte-identical under every policy. Constructors resolve it from
-    /// the `CAF_SHARD_THRESHOLD` environment variable (an integer
-    /// percentage; `0` disables sharding), defaulting to
+    /// byte-identical under every policy. Constructors set
     /// [`ShardPolicy::default_policy`].
     pub shard: ShardPolicy,
 }
@@ -91,20 +85,21 @@ impl EngineConfig {
     pub fn serial() -> EngineConfig {
         EngineConfig {
             workers: 1,
-            shard: ShardPolicy::resolve(),
+            shard: ShardPolicy::default_policy(),
         }
     }
 
     /// One worker per available core. The count is *not* capped here:
-    /// the run-time clamp lives in [`EngineConfig::for_units`], which
-    /// knows the actual number of work units (a fixed cap of 8 starved
-    /// wide machines on large unit sets and oversubscribed small ones).
+    /// the run-time clamp lives in [`EngineConfig::for_plan`] and the
+    /// plan's lane deal, which know the actual number of shards (a fixed
+    /// cap of 8 starved wide machines on large unit sets and
+    /// oversubscribed small ones).
     pub fn auto() -> EngineConfig {
         EngineConfig {
             workers: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4),
-            shard: ShardPolicy::resolve(),
+            shard: ShardPolicy::default_policy(),
         }
     }
 
@@ -112,12 +107,12 @@ impl EngineConfig {
     pub fn with_workers(workers: usize) -> EngineConfig {
         EngineConfig {
             workers: workers.max(1),
-            shard: ShardPolicy::resolve(),
+            shard: ShardPolicy::default_policy(),
         }
     }
 
-    /// Replaces the shard policy (the `repro --shard-threshold` flag
-    /// and the bit-identity tests route through this).
+    /// Replaces the shard policy (the bit-identity tests route through
+    /// this).
     pub fn with_shard_policy(self, shard: ShardPolicy) -> EngineConfig {
         EngineConfig { shard, ..self }
     }
@@ -125,20 +120,6 @@ impl EngineConfig {
     /// Whether units run on a worker pool rather than inline.
     pub fn is_parallel(self) -> bool {
         self.workers > 1
-    }
-
-    /// Clamps the worker count to the number of work units actually
-    /// being scheduled (at least 1) — workers beyond the unit count
-    /// would only idle. Callers apply this once the unit set is known;
-    /// the audit additionally reports both the configured and the
-    /// effective count through the telemetry registry. Note the clamp
-    /// is by *unit* count: shard-scheduling callers clamp by shard
-    /// count instead via [`EngineConfig::for_plan`].
-    pub fn for_units(self, units: usize) -> EngineConfig {
-        EngineConfig {
-            workers: self.workers.min(units.max(1)),
-            ..self
-        }
     }
 
     /// Builds a shard plan for cost-hinted units under this engine's
@@ -155,10 +136,15 @@ impl EngineConfig {
         UnitPlan::build_subset(self.workers, hints, self.shard, runs)
     }
 
-    /// Clamps the worker count to a plan's shard count — the sharded
-    /// analogue of [`EngineConfig::for_units`].
+    /// Clamps the worker count to a plan's shard count (at least 1) —
+    /// workers beyond it would only idle. The audit reports both the
+    /// configured and this effective count through the telemetry
+    /// registry.
     pub fn for_plan(self, plan: &UnitPlan) -> EngineConfig {
-        self.for_units(plan.shard_count())
+        EngineConfig {
+            workers: self.workers.min(plan.shard_count().max(1)),
+            ..self
+        }
     }
 
     /// The worker budget for one of `ways` concurrent engine-driven
@@ -219,236 +205,25 @@ pub fn state_seed(seed: u64, state: UsState) -> u64 {
     )
 }
 
-/// The shared executor behind [`map_slice`] and [`map_units`]: runs
-/// task indices `0..n` (pulling from `dispatch` order when parallel)
-/// and returns results **positionally** — slot `i` holds `run(i)`.
-///
-/// Parallel result placement goes through a single `(index, result)`
-/// mpsc channel drained into positional slots after the scope joins
-/// (one allocation and no per-slot locking, replacing the former
-/// per-slot `Mutex<Option<R>>` grid). The serial path runs indices in
-/// ascending order on the calling thread.
-fn execute<R, F>(
-    span_name: &'static str,
-    wall_gauge: &'static str,
-    workers: usize,
-    dispatch: &[usize],
-    n: usize,
-    run: F,
-) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    debug_assert_eq!(dispatch.len(), n);
-    // Telemetry is observation-only: timings feed gauges and histograms,
-    // never scheduling, so results stay byte-identical with it on or off.
-    let telemetry = caf_obs::enabled();
-    let _span = caf_obs::span(span_name);
-    let wall_start = telemetry.then(Instant::now);
-    let unit_ns: Vec<AtomicU64> = if telemetry {
-        (0..n).map(|_| AtomicU64::new(0)).collect()
-    } else {
-        Vec::new()
-    };
-    let run_task = |i: usize| {
-        let start = telemetry.then(Instant::now);
-        let result = run(i);
-        if let Some(start) = start {
-            let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            unit_ns[i].store(nanos, Ordering::Relaxed);
-            caf_obs::observe("caf.exec.unit_us", nanos / 1_000);
-        }
-        result
-    };
-
-    let results: Vec<R> = if workers <= 1 || n <= 1 {
-        (0..n).map(run_task).collect()
-    } else {
-        let cursor = AtomicUsize::new(0);
-        let (sender, receiver) = std::sync::mpsc::channel::<(usize, R)>();
-        // Trace-context handoff: if the dispatching thread is serving a
-        // traced request, each pool worker re-enters the same context so
-        // unit spans attach to the originating request. Observation-only
-        // — the trace never influences dispatch order or results.
-        let trace = caf_obs::trace::current();
-        std::thread::scope(|scope| {
-            for worker in 0..workers.min(n) {
-                let sender = sender.clone();
-                let run_task = &run_task;
-                let cursor = &cursor;
-                let trace = trace.clone();
-                scope.spawn(move || {
-                    let _trace = trace.as_ref().map(|ctx| ctx.enter());
-                    let worker_start = telemetry.then(Instant::now);
-                    let mut busy_ns: u64 = 0;
-                    loop {
-                        let pos = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&i) = dispatch.get(pos) else {
-                            break;
-                        };
-                        let task_start = telemetry.then(Instant::now);
-                        let result = run_task(i);
-                        if let Some(task_start) = task_start {
-                            busy_ns = busy_ns.saturating_add(
-                                u64::try_from(task_start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                            );
-                        }
-                        sender
-                            .send((i, result))
-                            .expect("result receiver outlives the scope");
-                    }
-                    if let Some(worker_start) = worker_start {
-                        let wall_ns =
-                            u64::try_from(worker_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                        caf_obs::gauge(
-                            &format!("caf.exec.worker.{worker}.busy_us"),
-                            busy_ns / 1_000,
-                        );
-                        caf_obs::gauge(
-                            &format!("caf.exec.worker.{worker}.wall_us"),
-                            wall_ns / 1_000,
-                        );
-                    }
-                });
-            }
-        });
-        drop(sender);
-        let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        // All workers have joined, so the channel holds exactly one
-        // result per task and iteration ends at disconnect.
-        for (i, result) in receiver {
-            slots[i] = Some(result);
-        }
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every task produces a result"))
-            .collect()
-    };
-
-    if let Some(wall_start) = wall_start {
-        let wall_ns = u64::try_from(wall_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        caf_obs::gauge(wall_gauge, wall_ns / 1_000);
-        // Task skew: how much slower the slowest task ran than the
-        // fastest, as a percentage of the slowest. High skew flags a
-        // task that dominates the merge barrier; sharding exists to
-        // push this down, so the same gauge doubles as the post-shard
-        // skew once callers schedule through a plan.
-        let slowest = unit_ns.iter().map(|d| d.load(Ordering::Relaxed)).max();
-        let fastest = unit_ns.iter().map(|d| d.load(Ordering::Relaxed)).min();
-        if let (Some(max), Some(min)) = (slowest, fastest) {
-            let spread = u128::from(max.saturating_sub(min)) * 100;
-            if let Some(skew) = spread.checked_div(u128::from(max)) {
-                caf_obs::gauge("caf.exec.unit_skew_pct", skew as u64);
-            }
-        }
-    }
-    results
-}
-
-/// Applies `f` to every item on a pool of `workers` scoped threads and
-/// returns the results **in item order** — the ordered-merge primitive
-/// for roughly even work units.
-///
-/// With `workers <= 1` (or fewer than two items) this is a plain
-/// sequential map on the calling thread. Otherwise workers pull item
-/// indices from a shared atomic cursor, so scheduling is dynamic but the
-/// result placement is positional and therefore deterministic. For
-/// heavy-tailed unit costs, prefer [`map_units`] over a cost-hinted
-/// [`UnitPlan`].
-///
-/// # Panics
-///
-/// Propagates panics from `f` (the scope joins all workers first).
-pub fn map_slice<T, R, F>(workers: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let dispatch: Vec<usize> = (0..items.len()).collect();
-    execute(
-        "engine.map_slice",
-        "caf.exec.map_slice_wall_us",
-        workers,
-        &dispatch,
-        items.len(),
-        |i| f(i, &items[i]),
-    )
-}
-
-/// Applies `f` to every [`Shard`] of a [`UnitPlan`] on a pool of scoped
-/// threads and returns the results **grouped per unit**, shards in
-/// ascending element order — the cost-aware scheduling primitive for
-/// heavy-tailed unit distributions.
-///
-/// Shards are dispatched in the plan's precomputed LPT order through
-/// the shared atomic cursor; reassembly is positional, so the returned
-/// `Vec<Vec<R>>` is byte-for-byte the output of the sequential
-/// unit-by-unit loop regardless of worker count or shard policy. The
-/// caller concatenates each unit's shard results to reconstruct the
-/// whole-unit value (`result[unit].len() == 1` whenever the unit was
-/// not split).
-///
-/// Telemetry: `caf.exec.shards` and `caf.exec.plan.est_makespan_us`
-/// gauges describe the plan; per-shard timings land in
-/// `caf.exec.unit_us` and the post-shard skew in
-/// `caf.exec.unit_skew_pct`.
-///
-/// # Panics
-///
-/// Propagates panics from `f` (the scope joins all workers first).
-pub fn map_units<R, F>(plan: &UnitPlan, f: F) -> Vec<Vec<R>>
-where
-    R: Send,
-    F: Fn(&Shard) -> R + Sync,
-{
-    if caf_obs::enabled() {
-        caf_obs::gauge("caf.exec.shards", plan.shard_count() as u64);
-        caf_obs::gauge("caf.exec.plan.est_makespan_us", plan.est_makespan());
-    }
-    let shards = plan.shards();
-    let flat = execute(
-        "engine.map_units",
-        "caf.exec.map_units_wall_us",
-        plan.workers(),
-        plan.dispatch_order(),
-        shards.len(),
-        |i| f(&shards[i]),
-    );
-    let mut flat = flat.into_iter();
-    plan.unit_ranges()
-        .iter()
-        .map(|range| flat.by_ref().take(range.len()).collect())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn map_slice_preserves_order_at_any_worker_count() {
-        let items: Vec<u64> = (0..97).collect();
-        let expected: Vec<u64> = items.iter().map(|&x| x * x).collect();
-        for workers in [1, 2, 3, 8, 128] {
-            let got = map_slice(workers, &items, |i, &x| {
-                assert_eq!(i as u64, x);
-                x * x
-            });
-            assert_eq!(got, expected, "workers = {workers}");
-        }
-        let empty: Vec<u64> = Vec::new();
-        assert!(map_slice(4, &empty, |_, &x: &u64| x).is_empty());
+    /// One opaque shard per unit: the plan for `units` even tasks.
+    fn even_plan(workers: usize, units: usize) -> UnitPlan {
+        UnitPlan::build(
+            workers,
+            &vec![CostHint::opaque(1); units],
+            ShardPolicy::disabled(),
+        )
     }
 
     #[test]
-    fn map_slice_runs_on_multiple_threads() {
+    fn map_units_runs_on_multiple_threads() {
         use std::collections::HashSet;
         use std::sync::Mutex;
         let seen: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
-        let items: Vec<u32> = (0..64).collect();
-        map_slice(4, &items, |_, _| {
+        map_units(&even_plan(4, 64), |_| {
             seen.lock().unwrap().insert(std::thread::current().id());
             std::thread::sleep(std::time::Duration::from_millis(1));
         });
@@ -465,12 +240,35 @@ mod tests {
         let id = caf_obs::TraceId::derive(0xCAF_2024, 42);
         let ctx = caf_obs::TraceCtx::new(id);
         let _guard = ctx.enter();
-        let items: Vec<u32> = (0..64).collect();
-        let seen = map_slice(4, &items, |_, _| {
+        let seen = map_units(&even_plan(4, 64), |_| {
             std::thread::sleep(std::time::Duration::from_millis(1));
             caf_obs::trace::current().map(|c| c.id())
         });
-        assert!(seen.iter().all(|got| *got == Some(id)));
+        assert!(seen.iter().flatten().all(|got| *got == Some(id)));
+    }
+
+    #[test]
+    fn pooled_map_units_publishes_skew_and_worker_gauges() {
+        let gauge = |name: &str| {
+            caf_obs::registry()
+                .metrics_snapshot()
+                .gauges
+                .into_iter()
+                .find(|(n, _)| n == name)
+                .map(|(_, v)| v)
+        };
+        caf_obs::set_enabled(true);
+        let results = map_units(&even_plan(2, 4), |shard| {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            shard.unit
+        });
+        caf_obs::set_enabled(false);
+        assert_eq!(results, vec![vec![0], vec![1], vec![2], vec![3]]);
+        assert!(gauge("caf.exec.unit_skew_pct").is_some_and(|pct| pct <= 100));
+        for worker in 0..2 {
+            let name = format!("caf.exec.worker.{worker}.busy_us");
+            assert!(gauge(&name).is_some(), "{name} not published");
+        }
     }
 
     #[test]
@@ -494,7 +292,7 @@ mod tests {
             .iter()
             .map(|u| u.iter().map(|&x| x * 2).collect())
             .collect();
-        for workers in [1usize, 2, 4, 16] {
+        for workers in [1usize, 2, 3, 4, 16, 128] {
             for policy in [
                 ShardPolicy::disabled(),
                 ShardPolicy::default_policy(),
@@ -515,6 +313,8 @@ mod tests {
                 assert_eq!(merged, expected, "workers = {workers}, policy = {policy:?}");
             }
         }
+        let empty: Vec<Vec<u64>> = map_units(&even_plan(4, 0), |_| 0);
+        assert!(empty.is_empty());
     }
 
     #[test]
@@ -566,18 +366,26 @@ mod tests {
     }
 
     #[test]
-    fn for_units_clamps_workers_to_the_unit_count() {
-        assert_eq!(EngineConfig::with_workers(16).for_units(4).workers, 4);
-        assert_eq!(EngineConfig::with_workers(2).for_units(15).workers, 2);
-        assert_eq!(EngineConfig::with_workers(8).for_units(0).workers, 1);
-        assert_eq!(EngineConfig::serial().for_units(100).workers, 1);
-    }
-
-    #[test]
     fn for_plan_clamps_workers_to_the_shard_count() {
         let hints = vec![CostHint::opaque(10), CostHint::opaque(10)];
         let plan = UnitPlan::build(16, &hints, ShardPolicy::disabled());
         assert_eq!(EngineConfig::with_workers(16).for_plan(&plan).workers, 2);
+        assert_eq!(
+            EngineConfig::with_workers(2)
+                .for_plan(&even_plan(2, 15))
+                .workers,
+            2
+        );
+        assert_eq!(
+            EngineConfig::with_workers(8)
+                .for_plan(&even_plan(8, 0))
+                .workers,
+            1
+        );
+        assert_eq!(
+            EngineConfig::serial().for_plan(&even_plan(1, 100)).workers,
+            1
+        );
     }
 
     #[test]

@@ -16,12 +16,14 @@
 //!    estimated cost exceeds [`ShardPolicy::threshold_pct`] percent of
 //!    the ideal per-worker share (`total / workers`) into contiguous
 //!    element-range [`Shard`]s of roughly that size.
-//! 3. Shards are dispatched in precomputed longest-processing-time
-//!    (LPT) order through the engine's atomic cursor, so the expensive
-//!    shards start first and the small ones backfill the stragglers.
+//! 3. The plan deals the shards once, in longest-processing-time (LPT)
+//!    order, each onto the currently least-loaded of `workers` lanes
+//!    ([`UnitPlan::lanes`]). The executor seeds one deque per worker
+//!    from those lanes, so the expensive shards start first; idle
+//!    workers then steal the small ones to backfill the stragglers.
 //! 4. Results are reassembled positionally (shards of a unit stay in
 //!    ascending element order), so output is byte-identical with the
-//!    whole-unit `map_slice` at every worker count and every policy —
+//!    serial unit-by-unit loop at every worker count and every policy —
 //!    the plan is a pure function of `(workers, hints, policy)` and
 //!    never consults the clock, thread ids, or element values.
 
@@ -99,28 +101,6 @@ impl ShardPolicy {
             max_shards_per_unit: usize::MAX,
         }
     }
-
-    /// Resolves the policy from an optional `CAF_SHARD_THRESHOLD`
-    /// environment value (an integer percentage; `0` disables). Invalid
-    /// or absent values fall back to [`ShardPolicy::default_policy`].
-    /// Split out from the env read so it is unit-testable without
-    /// mutating process state.
-    pub fn from_env_value(value: Option<&str>) -> ShardPolicy {
-        match value.and_then(|v| v.trim().parse::<u32>().ok()) {
-            Some(0) => ShardPolicy::disabled(),
-            Some(pct) => ShardPolicy {
-                threshold_pct: pct,
-                ..ShardPolicy::default_policy()
-            },
-            None => ShardPolicy::default_policy(),
-        }
-    }
-
-    /// Reads `CAF_SHARD_THRESHOLD` from the environment (the `repro`
-    /// `--shard-threshold` flag takes precedence over this at the CLI).
-    pub fn resolve() -> ShardPolicy {
-        ShardPolicy::from_env_value(std::env::var("CAF_SHARD_THRESHOLD").ok().as_deref())
-    }
 }
 
 impl Default for ShardPolicy {
@@ -130,7 +110,7 @@ impl Default for ShardPolicy {
 }
 
 /// A caller-supplied estimate of one unit's cost, used only for
-/// scheduling (shard boundaries and dispatch order) — never for
+/// scheduling (shard boundaries and the lane deal) — never for
 /// results. Hints need not be accurate; a hint that is merely
 /// *proportional* to runtime is enough for LPT to help, and a wrong
 /// hint only costs wall-clock time.
@@ -245,17 +225,17 @@ pub struct Shard {
 ///
 /// Shards are stored unit-major (all shards of unit 0, then unit 1, …)
 /// with ascending element ranges, which is also the reassembly order.
-/// The dispatch order is a separate permutation (LPT: heaviest shard
-/// first, ties broken by shard index) that workers pull through the
-/// atomic cursor; it affects wall-clock time only.
+/// The lanes are a separate deal of those shards onto workers (LPT:
+/// heaviest shard first, ties broken by shard index, each onto the
+/// least-loaded lane); they affect wall-clock time only.
 #[derive(Debug, Clone)]
 pub struct UnitPlan {
     workers: usize,
     shards: Vec<Shard>,
     /// Shard-index range per unit (into `shards`).
     unit_ranges: Vec<Range<usize>>,
-    /// Shard indices in LPT dispatch order.
-    dispatch: Vec<usize>,
+    /// Shard indices per worker lane, each lane in LPT order.
+    lanes: Vec<Vec<usize>>,
     est_makespan: u64,
     total_cost: u64,
 }
@@ -358,27 +338,29 @@ impl UnitPlan {
         Self::assemble(workers, shards, unit_ranges, total_cost)
     }
 
-    /// The shared plan tail: LPT dispatch order, greedy makespan
-    /// estimate, construction.
+    /// The shared plan tail: the greedy LPT lane deal, its makespan,
+    /// construction.
     fn assemble(
         workers: usize,
         shards: Vec<Shard>,
         unit_ranges: Vec<Range<usize>>,
         total_cost: u128,
     ) -> UnitPlan {
-        // LPT dispatch order: heaviest first, shard index breaks ties
-        // (so uniform costs degrade to plain index order).
-        let mut dispatch: Vec<usize> = (0..shards.len()).collect();
-        dispatch.sort_by_key(|&i| (Reverse(shards[i].est_cost), i));
+        // LPT order: heaviest first, shard index breaks ties (so uniform
+        // costs degrade to plain index order).
+        let mut order: Vec<usize> = (0..shards.len()).collect();
+        order.sort_by_key(|&i| (Reverse(shards[i].est_cost), i));
 
-        // Estimated makespan: simulate greedy assignment of the LPT
-        // sequence to the least-loaded worker. An estimate of the
-        // post-shard critical path in cost-hint units.
-        let lanes = workers.min(shards.len()).max(1);
-        let mut loads = vec![0u64; lanes];
-        for &i in &dispatch {
-            let lane = (0..lanes).min_by_key(|&l| loads[l]).unwrap_or(0);
+        // Deal the LPT sequence onto the least-loaded lane (ties to the
+        // lowest index). The heaviest lane's load is the estimated
+        // post-shard critical path, in cost-hint units.
+        let lane_count = workers.min(shards.len()).max(1);
+        let mut lanes = vec![Vec::new(); lane_count];
+        let mut loads = vec![0u64; lane_count];
+        for i in order {
+            let lane = (0..lane_count).min_by_key(|&l| loads[l]).unwrap_or(0);
             loads[lane] = loads[lane].saturating_add(shards[i].est_cost);
+            lanes[lane].push(i);
         }
         let est_makespan = loads.into_iter().max().unwrap_or(0);
 
@@ -386,7 +368,7 @@ impl UnitPlan {
             workers,
             shards,
             unit_ranges,
-            dispatch,
+            lanes,
             est_makespan,
             total_cost: u64::try_from(total_cost).unwrap_or(u64::MAX),
         }
@@ -423,14 +405,17 @@ impl UnitPlan {
         &self.unit_ranges
     }
 
-    /// Shard indices in LPT dispatch order.
-    pub fn dispatch_order(&self) -> &[usize] {
-        &self.dispatch
+    /// The shard indices dealt to each worker lane (one list per lane,
+    /// `min(workers, shards)` lanes, at least one), each in LPT order.
+    /// Every shard appears in exactly one lane.
+    pub fn lanes(&self) -> &[Vec<usize>] {
+        &self.lanes
     }
 
-    /// Greedy LPT makespan estimate, in the same units as the cost
-    /// hints (reported as `caf.exec.plan.est_makespan_us` — literal
-    /// microseconds only when callers hint with measured time).
+    /// The heaviest lane's estimated load — the greedy LPT makespan, in
+    /// the same units as the cost hints (reported as
+    /// `caf.exec.plan.est_makespan_us` — literal microseconds only when
+    /// callers hint with measured time).
     pub fn est_makespan(&self) -> u64 {
         self.est_makespan
     }
@@ -543,8 +528,20 @@ mod tests {
         }
     }
 
+    /// The heaviest lane's estimated load.
+    fn max_lane_load(plan: &UnitPlan) -> u64 {
+        plan.lanes()
+            .iter()
+            .map(|lane| lane.iter().map(|&i| plan.shards()[i].est_cost).sum())
+            .max()
+            .unwrap()
+    }
+
     #[test]
     fn dispatch_is_lpt_with_stable_ties() {
+        // LPT order 1 (30), 3 (20), 0 (10), 2 (10), each dealt onto the
+        // least-loaded lane: 1 → lane 0, 3 → lane 1, 0 → lane 1 (20 <
+        // 30), then 2 → lane 0 (the 30/30 tie goes to the lower lane).
         let hints = vec![
             CostHint::opaque(10),
             CostHint::opaque(30),
@@ -552,11 +549,37 @@ mod tests {
             CostHint::opaque(20),
         ];
         let plan = UnitPlan::build(2, &hints, ShardPolicy::disabled());
-        assert_eq!(plan.dispatch_order(), &[1, 3, 0, 2]);
-        // Uniform costs degrade to index order.
+        assert_eq!(plan.lanes(), &[vec![1, 2], vec![3, 0]]);
+        assert_eq!(max_lane_load(&plan), plan.est_makespan());
+        // Uniform costs degrade to index order, dealt round-robin.
         let uniform = vec![CostHint::opaque(7); 4];
         let plan = UnitPlan::build(2, &uniform, ShardPolicy::disabled());
-        assert_eq!(plan.dispatch_order(), &[0, 1, 2, 3]);
+        assert_eq!(plan.lanes(), &[vec![0, 2], vec![1, 3]]);
+        assert_eq!(max_lane_load(&plan), plan.est_makespan());
+    }
+
+    #[test]
+    fn lanes_cover_every_shard_once_with_balanced_loads() {
+        let hints = vec![
+            CostHint::PerElement((0..40).map(|i| (i * 13 % 17) + 1).collect()),
+            CostHint::Uniform {
+                cost: 300,
+                elements: 12,
+            },
+            CostHint::opaque(25),
+        ];
+        let plan = UnitPlan::build(3, &hints, ShardPolicy::default_policy());
+        assert_eq!(plan.lanes().len(), 3.min(plan.shard_count()));
+        let mut seen: Vec<usize> = plan.lanes().iter().flatten().copied().collect();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..plan.shard_count()).collect::<Vec<_>>());
+        assert_eq!(max_lane_load(&plan), plan.est_makespan());
+        // More workers than shards: one lane per shard. No shards at
+        // all: still one (empty) lane.
+        let few = UnitPlan::build(16, &hints, ShardPolicy::disabled());
+        assert_eq!(few.lanes(), &[vec![0], vec![1], vec![2]]);
+        let none = UnitPlan::build(4, &[], ShardPolicy::default_policy());
+        assert_eq!(none.lanes(), &[Vec::<usize>::new()]);
     }
 
     #[test]
@@ -571,6 +594,7 @@ mod tests {
         let whole = UnitPlan::build(2, &hints, ShardPolicy::disabled());
         assert_eq!(whole.total_cost(), 70);
         assert_eq!(whole.est_makespan(), 40);
+        assert_eq!(max_lane_load(&whole), 40);
         // Sharding the giant unit lowers the estimated makespan toward
         // the ideal total/workers = 35.
         let sharded = UnitPlan::build(
@@ -596,6 +620,7 @@ mod tests {
             ShardPolicy::default_policy(),
         );
         assert!(sharded.is_sharded());
+        assert_eq!(max_lane_load(&sharded), sharded.est_makespan());
         assert!(
             sharded.est_makespan() < whole.est_makespan(),
             "sharding must improve the estimated critical path: {} vs {}",
@@ -633,7 +658,7 @@ mod tests {
         let a = UnitPlan::build(4, &hints, ShardPolicy::default_policy());
         let b = UnitPlan::build(4, &hints, ShardPolicy::default_policy());
         assert_eq!(a.shards(), b.shards());
-        assert_eq!(a.dispatch_order(), b.dispatch_order());
+        assert_eq!(a.lanes(), b.lanes());
         assert_eq!(a.est_makespan(), b.est_makespan());
     }
 
@@ -680,23 +705,6 @@ mod tests {
             UnitPlan::build_subset(4, &hints, ShardPolicy::default_policy(), &full_runs);
         let via_build = UnitPlan::build(4, &hints, ShardPolicy::default_policy());
         assert_eq!(via_subset.shards(), via_build.shards());
-        assert_eq!(via_subset.dispatch_order(), via_build.dispatch_order());
-    }
-
-    #[test]
-    fn policy_env_value_parsing() {
-        assert_eq!(
-            ShardPolicy::from_env_value(None),
-            ShardPolicy::default_policy()
-        );
-        assert_eq!(
-            ShardPolicy::from_env_value(Some("0")),
-            ShardPolicy::disabled()
-        );
-        assert_eq!(ShardPolicy::from_env_value(Some("40")).threshold_pct, 40);
-        assert_eq!(
-            ShardPolicy::from_env_value(Some("not-a-number")),
-            ShardPolicy::default_policy()
-        );
+        assert_eq!(via_subset.lanes(), via_build.lanes());
     }
 }

@@ -1,25 +1,25 @@
-//! Deque-based work stealing over a [`UnitPlan`] — the latency-aware
-//! scheduling mode behind [`map_units_stealing`].
+//! The engine's one executor: a seeded-lane work-stealing pool over a
+//! [`UnitPlan`], behind [`map_units`] and [`map_units_with`].
 //!
-//! The static executor ([`map_units`](crate::map_units)) dispatches
-//! shards through one shared atomic cursor in LPT order. That is ideal
-//! when cost hints are accurate; when they are not — BQT campaign tasks
-//! have lognormal per-attempt latency with heavy per-ISP tails — a
-//! worker can finish its share of the estimated cost early and sit idle
-//! at the merge barrier while another drags a mis-estimated queue.
+//! The plan has already dealt its shards into one lane per worker
+//! ([`UnitPlan::lanes`]): greedy LPT onto the least-loaded lane, so the
+//! starting schedule is exactly the one its makespan estimate
+//! simulated. Each worker seeds a local deque from its lane, then:
 //!
-//! Work stealing closes that gap without giving up the plan:
+//! 1. pops work from the **front** of its own deque (LPT order within
+//!    the lane: big shards first);
+//! 2. once its deque is empty, steals from the **tail** of the
+//!    most-loaded other deque (largest estimated remaining cost, ties to
+//!    the lowest lane index) — the victim's cheapest queued shard, which
+//!    keeps the owner's expensive front work undisturbed.
 //!
-//! 1. [`seed_lanes`] deals the plan's shards into one local deque per
-//!    worker by replaying the *same* greedy LPT least-loaded-lane
-//!    assignment the plan's makespan estimate simulates — so the
-//!    starting schedule is exactly the one the planner predicted.
-//! 2. Each worker pops work from the **front** of its own deque (LPT
-//!    order within the lane: big shards first).
-//! 3. An idle worker steals from the **tail** of the most-loaded other
-//!    queue (largest estimated remaining cost, ties to the lowest lane
-//!    index) — the victim's cheapest queued shard, which keeps the
-//!    owner's expensive front work undisturbed.
+//! Stealing is what makes approximate cost hints cheap: BQT campaign
+//! tasks have lognormal per-attempt latency with heavy per-ISP tails,
+//! so without it a worker can finish its share of the estimated cost
+//! early and sit idle at the merge barrier while another drags a
+//! mis-estimated queue. With `steal: false` ([`map_units_with`]) step 2
+//! is skipped and an idle worker exits instead: every shard runs on the
+//! lane the deal gave it (pinned lanes, a fixed worker assignment).
 //!
 //! # Determinism
 //!
@@ -27,12 +27,12 @@
 //! reproducible — but it only decides *where* a shard runs, never what
 //! it computes or where its result lands. Shards are pure functions of
 //! their `(unit, range)` inputs (the engine's unit-isolation property),
-//! and results travel through the same `(shard index, result)` channel
-//! as the static path into positional slots, grouped per unit in
-//! ascending element order. Output is therefore byte-identical to
-//! [`map_units`](crate::map_units) — and to the serial loop — at every
-//! worker count and under every steal interleaving. The matrix in
-//! `crates/tests/tests/campaign_scheduler.rs` pins this end-to-end.
+//! and results travel through one `(shard index, result)` channel into
+//! positional slots, grouped per unit in ascending element order.
+//! Output is therefore byte-identical to the serial loop at every
+//! worker count, with or without stealing, and under every steal
+//! interleaving. The matrix in `crates/tests/tests/campaign_scheduler.rs`
+//! pins this end-to-end.
 //!
 //! Steal activity is surfaced as telemetry only: the
 //! `caf.exec.steals` counter and the per-run [`StealStats`].
@@ -52,12 +52,12 @@ struct Lane {
 }
 
 impl Lane {
-    fn new(queue: VecDeque<usize>, shards: &[Shard]) -> Lane {
-        let remaining = queue
+    fn new(lane: &[usize], shards: &[Shard]) -> Lane {
+        let remaining = lane
             .iter()
             .fold(0u64, |acc, &i| acc.saturating_add(shards[i].est_cost));
         Lane {
-            queue: Mutex::new(queue),
+            queue: Mutex::new(lane.iter().copied().collect()),
             remaining: AtomicU64::new(remaining),
         }
     }
@@ -97,66 +97,69 @@ impl Lane {
     }
 }
 
-/// Scheduling telemetry from one [`map_units_stealing_stats`] run.
+/// Scheduling telemetry from one [`map_units_with`] run.
 /// Timing-dependent by nature (see the module docs) — report it, never
 /// branch on it in result-producing code.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StealStats {
     /// Shards executed by a worker other than the lane they were dealt
-    /// to.
+    /// to (always 0 on pinned lanes).
     pub steals: u64,
     /// Shards executed per worker lane.
     pub executed: Vec<u64>,
 }
 
-/// Deals a plan's shards into per-worker deques by replaying the greedy
-/// LPT least-loaded-lane assignment from the plan's makespan estimate:
-/// walking the dispatch order (heaviest first), each shard lands at the
-/// back of the currently least-loaded lane (ties to the lowest index).
-/// A pure function of the plan, so the starting schedule is exactly the
-/// one [`UnitPlan::est_makespan`] simulated.
-pub fn seed_lanes(plan: &UnitPlan) -> Vec<VecDeque<usize>> {
-    let shards = plan.shards();
-    let lanes = plan.workers().min(shards.len()).max(1);
-    let mut queues = vec![VecDeque::new(); lanes];
-    let mut loads = vec![0u64; lanes];
-    for &i in plan.dispatch_order() {
-        let lane = (0..lanes).min_by_key(|&l| loads[l]).unwrap_or(0);
-        loads[lane] = loads[lane].saturating_add(shards[i].est_cost);
-        queues[lane].push_back(i);
-    }
-    queues
+fn elapsed_ns(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// [`map_units`](crate::map_units) with work stealing: applies `f` to
-/// every shard of the plan on per-worker deques seeded by
-/// [`seed_lanes`], idle workers stealing from the tail of the
-/// most-loaded queue. Results are returned **grouped per unit** with
-/// shards in ascending element order — byte-identical to the static
-/// path at any worker count and steal schedule.
+/// Applies `f` to every [`Shard`] of a [`UnitPlan`] on a pool of scoped
+/// threads, one per plan lane, with work stealing, and returns the
+/// results **grouped per unit**, shards in ascending element order —
+/// byte-for-byte the output of the sequential unit-by-unit loop at any
+/// worker count, shard policy or steal schedule. The caller
+/// concatenates each unit's shard results to reconstruct the whole-unit
+/// value (`result[unit].len() == 1` whenever the unit was not split).
+///
+/// A plan with one lane (one worker, or at most one shard) runs as the
+/// plain sequential loop on the calling thread.
+///
+/// Telemetry: the `engine.map_units` span; `caf.exec.shards` and
+/// `caf.exec.plan.est_makespan_us` describe the plan; per-shard timings
+/// land in `caf.exec.unit_us`, their skew in `caf.exec.unit_skew_pct`,
+/// steals in `caf.exec.steals`, the run's wall time in
+/// `caf.exec.map_units_wall_us` and each pooled worker's time in
+/// `caf.exec.worker.<i>.{busy_us,wall_us}`.
 ///
 /// # Panics
 ///
 /// Propagates panics from `f` (the scope joins all workers first).
-pub fn map_units_stealing<R, F>(plan: &UnitPlan, f: F) -> Vec<Vec<R>>
+pub fn map_units<R, F>(plan: &UnitPlan, f: F) -> Vec<Vec<R>>
 where
     R: Send,
     F: Fn(&Shard) -> R + Sync,
 {
-    map_units_stealing_stats(plan, f).0
+    map_units_with(plan, true, f).0
 }
 
-/// [`map_units_stealing`] returning the run's [`StealStats`] alongside
-/// the results (bench harnesses read the steal counts; production
-/// callers usually drop them and rely on the `caf.exec.steals`
-/// counter).
-pub fn map_units_stealing_stats<R, F>(plan: &UnitPlan, f: F) -> (Vec<Vec<R>>, StealStats)
+/// [`map_units`] with stealing switchable and the run's [`StealStats`]
+/// returned alongside the results. `steal: false` pins every shard to
+/// the lane the plan dealt it to: an idle worker exits instead of
+/// stealing. Output is identical either way; only wall-clock time and
+/// the stats differ.
+///
+/// # Panics
+///
+/// Propagates panics from `f` (the scope joins all workers first).
+pub fn map_units_with<R, F>(plan: &UnitPlan, steal: bool, f: F) -> (Vec<Vec<R>>, StealStats)
 where
     R: Send,
     F: Fn(&Shard) -> R + Sync,
 {
+    // Telemetry is observation-only: timings feed gauges and histograms,
+    // never scheduling, so results stay byte-identical with it on or off.
     let telemetry = caf_obs::enabled();
-    let _span = caf_obs::span("engine.map_units_steal");
+    let _span = caf_obs::span("engine.map_units");
     let wall_start = telemetry.then(Instant::now);
     if telemetry {
         caf_obs::gauge("caf.exec.shards", plan.shard_count() as u64);
@@ -164,26 +167,26 @@ where
     }
     let shards = plan.shards();
     let n = shards.len();
-
-    let run_task = |i: usize| {
+    let unit_ns: Vec<AtomicU64> = if telemetry {
+        (0..n).map(|_| AtomicU64::new(0)).collect()
+    } else {
+        Vec::new()
+    };
+    // Runs one shard; returns its result and run time (0 untimed).
+    let run_task = |i: usize| -> (R, u64) {
         let start = telemetry.then(Instant::now);
         let result = f(&shards[i]);
-        if let Some(start) = start {
-            let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let nanos = start.map_or(0, elapsed_ns);
+        if telemetry {
+            unit_ns[i].store(nanos, Ordering::Relaxed);
             caf_obs::observe("caf.exec.unit_us", nanos / 1_000);
         }
-        result
+        (result, nanos)
     };
 
-    let lanes: Vec<Lane> = seed_lanes(plan)
-        .into_iter()
-        .map(|queue| Lane::new(queue, shards))
-        .collect();
-
-    let (flat, stats) = if lanes.len() <= 1 || n <= 1 {
-        // Single lane: the serial loop in ascending shard order, exactly
-        // like the static executor's serial path.
-        let flat: Vec<R> = (0..n).map(run_task).collect();
+    let (flat, stats) = if plan.lanes().len() <= 1 {
+        // One lane: the serial loop in ascending shard order.
+        let flat: Vec<R> = (0..n).map(|i| run_task(i).0).collect();
         (
             flat,
             StealStats {
@@ -192,9 +195,18 @@ where
             },
         )
     } else {
+        let lanes: Vec<Lane> = plan
+            .lanes()
+            .iter()
+            .map(|lane| Lane::new(lane, shards))
+            .collect();
         let steals = AtomicU64::new(0);
         let executed: Vec<AtomicU64> = (0..lanes.len()).map(|_| AtomicU64::new(0)).collect();
         let (sender, receiver) = std::sync::mpsc::channel::<(usize, R)>();
+        // Trace-context handoff: if the dispatching thread is serving a
+        // traced request, each pool worker re-enters the same context so
+        // shard spans attach to the originating request. Observation-only
+        // — the trace never influences scheduling or results.
         let trace = caf_obs::trace::current();
         std::thread::scope(|scope| {
             for worker in 0..lanes.len() {
@@ -206,11 +218,17 @@ where
                 let trace = trace.clone();
                 scope.spawn(move || {
                     let _trace = trace.as_ref().map(|ctx| ctx.enter());
+                    let worker_start = telemetry.then(Instant::now);
+                    let mut busy_ns: u64 = 0;
                     loop {
-                        // Own queue first; otherwise scan victims in
-                        // descending estimated-remaining order (ties to
-                        // the lowest lane index) and take their tail.
+                        // Own queue first; otherwise (when stealing) scan
+                        // victims in descending estimated-remaining order
+                        // (ties to the lowest lane index) and take their
+                        // tail.
                         let next = lanes[worker].pop_own(shards).or_else(|| {
+                            if !steal {
+                                return None;
+                            }
                             let mut victims: Vec<usize> =
                                 (0..lanes.len()).filter(|&l| l != worker).collect();
                             // Other workers move `remaining` while we
@@ -231,20 +249,34 @@ where
                                 stolen
                             })
                         });
-                        // Every queue was empty under its lock and tasks
-                        // are never re-enqueued, so the pool is drained.
+                        // Every queue this worker may take from was empty
+                        // under its lock and shards are never re-enqueued,
+                        // so its share of the pool is drained.
                         let Some(i) = next else { break };
-                        let result = run_task(i);
+                        let (result, nanos) = run_task(i);
+                        busy_ns = busy_ns.saturating_add(nanos);
                         executed[worker].fetch_add(1, Ordering::Relaxed);
                         sender
                             .send((i, result))
                             .expect("result receiver outlives the scope");
+                    }
+                    if let Some(worker_start) = worker_start {
+                        caf_obs::gauge(
+                            &format!("caf.exec.worker.{worker}.busy_us"),
+                            busy_ns / 1_000,
+                        );
+                        caf_obs::gauge(
+                            &format!("caf.exec.worker.{worker}.wall_us"),
+                            elapsed_ns(worker_start) / 1_000,
+                        );
                     }
                 });
             }
         });
         drop(sender);
         let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
+        // All workers have joined, so the channel holds exactly one
+        // result per shard and iteration ends at disconnect.
         for (i, result) in receiver {
             slots[i] = Some(result);
         }
@@ -261,11 +293,20 @@ where
         )
     };
 
-    if telemetry {
+    if let Some(wall_start) = wall_start {
         caf_obs::count("caf.exec.steals", stats.steals);
-        if let Some(start) = wall_start {
-            let wall_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            caf_obs::gauge("caf.exec.map_units_steal_wall_us", wall_ns / 1_000);
+        caf_obs::gauge("caf.exec.map_units_wall_us", elapsed_ns(wall_start) / 1_000);
+        // Shard skew: how much slower the slowest shard ran than the
+        // fastest, as a percentage of the slowest. High skew flags a
+        // shard that dominates the merge barrier; sharding exists to
+        // push this down.
+        let slowest = unit_ns.iter().map(|d| d.load(Ordering::Relaxed)).max();
+        let fastest = unit_ns.iter().map(|d| d.load(Ordering::Relaxed)).min();
+        if let (Some(max), Some(min)) = (slowest, fastest) {
+            let spread = u128::from(max.saturating_sub(min)) * 100;
+            if let Some(skew) = spread.checked_div(u128::from(max)) {
+                caf_obs::gauge("caf.exec.unit_skew_pct", skew as u64);
+            }
         }
     }
 
@@ -282,7 +323,6 @@ where
 mod tests {
     use super::*;
     use crate::plan::{CostHint, ShardPolicy};
-    use crate::{map_units, UnitPlan};
 
     fn hints() -> Vec<CostHint> {
         vec![
@@ -296,39 +336,28 @@ mod tests {
     }
 
     #[test]
-    fn seed_lanes_cover_every_shard_once_with_balanced_loads() {
-        let plan = UnitPlan::build(3, &hints(), ShardPolicy::default_policy());
-        let lanes = seed_lanes(&plan);
-        assert_eq!(lanes.len(), 3.min(plan.shard_count()));
-        let mut seen: Vec<usize> = lanes.iter().flatten().copied().collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..plan.shard_count()).collect::<Vec<_>>());
-        // The greedy deal reproduces the makespan simulation: the
-        // heaviest lane's load is exactly the plan's estimate.
-        let load =
-            |lane: &VecDeque<usize>| lane.iter().map(|&i| plan.shards()[i].est_cost).sum::<u64>();
-        let max_load = lanes.iter().map(load).max().unwrap();
-        assert_eq!(max_load, plan.est_makespan());
-    }
-
-    #[test]
     fn stealing_output_matches_static_path_everywhere() {
+        // The static path is the pinned-lane schedule: both it and the
+        // stealing pool must reproduce the plain serial loop.
         let hints = hints();
+        let body = |s: &Shard| -> usize { s.range.clone().map(|e| e * 31 + s.unit * 1_000).sum() };
         let merged = |grouped: Vec<Vec<usize>>| -> Vec<usize> {
             grouped
                 .into_iter()
                 .map(|shards| shards.into_iter().sum())
                 .collect()
         };
-        let expected: Vec<usize> = merged({
-            let plan = UnitPlan::build(1, &hints, ShardPolicy::disabled());
-            map_units(&plan, |s| {
-                s.range
-                    .clone()
-                    .map(|e| e * 31 + s.unit * 1_000)
-                    .sum::<usize>()
+        let expected: Vec<usize> = hints
+            .iter()
+            .enumerate()
+            .map(|(unit, hint)| {
+                body(&Shard {
+                    unit,
+                    range: 0..hint.elements(),
+                    est_cost: hint.total(),
+                })
             })
-        });
+            .collect();
         for workers in [1usize, 2, 3, 4, 16] {
             for policy in [
                 ShardPolicy::disabled(),
@@ -336,24 +365,15 @@ mod tests {
                 ShardPolicy::finest(),
             ] {
                 let plan = UnitPlan::build(workers, &hints, policy);
-                let static_path = merged(map_units(&plan, |s| {
-                    s.range
-                        .clone()
-                        .map(|e| e * 31 + s.unit * 1_000)
-                        .sum::<usize>()
-                }));
-                let (steal_path, stats) = map_units_stealing_stats(&plan, |s| {
-                    s.range
-                        .clone()
-                        .map(|e| e * 31 + s.unit * 1_000)
-                        .sum::<usize>()
-                });
-                assert_eq!(
-                    merged(steal_path),
-                    static_path,
-                    "workers {workers} policy {policy:?}"
-                );
-                assert_eq!(static_path, expected);
+                let (pinned, pinned_stats) = map_units_with(&plan, false, body);
+                let (stealing, stats) = map_units_with(&plan, true, body);
+                let context = format!("workers {workers} policy {policy:?}");
+                assert_eq!(merged(pinned), expected, "{context}");
+                assert_eq!(merged(stealing), expected, "{context}");
+                // Pinned lanes run exactly the shards the plan dealt.
+                assert_eq!(pinned_stats.steals, 0, "{context}");
+                let dealt: Vec<u64> = plan.lanes().iter().map(|l| l.len() as u64).collect();
+                assert_eq!(pinned_stats.executed, dealt, "{context}");
                 assert_eq!(
                     stats.executed.iter().sum::<u64>(),
                     plan.shard_count() as u64
@@ -366,8 +386,9 @@ mod tests {
     fn idle_worker_steals_from_the_loaded_lane() {
         // Four opaque shards, costs 100/99/98/1: the greedy deal puts
         // {100, 1} on lane 0 and {99, 98} on lane 1. Lane 0's front
-        // shard sleeps long; lane 1 finishes its cheap pair and must
-        // steal lane 0's queued tail shard well before the owner wakes.
+        // shard sleeps long; with stealing, lane 1 finishes its cheap
+        // pair and must steal lane 0's queued tail shard well before the
+        // owner wakes. Pinned, lane 1 exits and lane 0 runs both.
         let hints = vec![
             CostHint::opaque(100),
             CostHint::opaque(99),
@@ -375,16 +396,21 @@ mod tests {
             CostHint::opaque(1),
         ];
         let plan = UnitPlan::build(2, &hints, ShardPolicy::disabled());
-        let lanes = seed_lanes(&plan);
-        assert_eq!(Vec::from(lanes[0].clone()), vec![0, 3]);
-        assert_eq!(Vec::from(lanes[1].clone()), vec![1, 2]);
-        let (results, stats) = map_units_stealing_stats(&plan, |s| {
-            let millis = if s.unit == 0 { 400 } else { 2 };
-            std::thread::sleep(std::time::Duration::from_millis(millis));
-            s.unit * 10
-        });
-        assert_eq!(results, vec![vec![0], vec![10], vec![20], vec![30]]);
-        assert!(stats.steals >= 1, "lane 1 should have stolen shard 3");
-        assert_eq!(stats.executed.iter().sum::<u64>(), 4);
+        assert_eq!(plan.lanes(), &[vec![0, 3], vec![1, 2]]);
+        for steal in [true, false] {
+            let (results, stats) = map_units_with(&plan, steal, |s| {
+                let millis = if s.unit == 0 { 400 } else { 2 };
+                std::thread::sleep(std::time::Duration::from_millis(millis));
+                s.unit * 10
+            });
+            assert_eq!(results, vec![vec![0], vec![10], vec![20], vec![30]]);
+            assert_eq!(stats.executed.iter().sum::<u64>(), 4);
+            if steal {
+                assert!(stats.steals >= 1, "lane 1 should have stolen shard 3");
+            } else {
+                assert_eq!(stats.steals, 0);
+                assert_eq!(stats.executed, vec![2, 2]);
+            }
+        }
     }
 }

@@ -9,7 +9,8 @@
 //! Propagation is explicit: the owner of a request calls
 //! [`TraceCtx::enter`] to install the context in a thread-local slot,
 //! captures [`current`] before handing work to a pool, and re-enters the
-//! clone on each worker thread (`caf-exec` does this inside `execute`).
+//! clone on each worker thread (`caf-exec` does this inside
+//! `map_units_with`, its one executor loop).
 //! Span recording ([`SpanGuard`](crate::span::SpanGuard) drop) then
 //! files events into whichever trace is current on that thread.
 //!

@@ -283,21 +283,16 @@ where
         elements: replicates,
     }]);
     let workers = engine.for_plan(&plan).workers;
-    let stats = if workers <= 1 || plan.shard_count() <= 1 {
-        replicate_stats(n, 0..replicates, &statistic, seed)?
-    } else {
-        // Work-stealing executor: replicate chunks are nominally uniform,
-        // but the statistic's runtime need not be — stealing absorbs the
-        // variance without changing the canonical reassembly order.
-        let partials = caf_exec::map_units_stealing(&plan, |shard| {
-            replicate_stats(n, shard.range.clone(), &statistic, seed)
-        });
-        let mut stats = Vec::with_capacity(replicates);
-        for partial in partials.into_iter().flatten() {
-            stats.extend(partial?);
-        }
-        stats
-    };
+    // Work-stealing executor: replicate chunks are nominally uniform,
+    // but the statistic's runtime need not be — stealing absorbs the
+    // variance without changing the canonical reassembly order.
+    let partials = caf_exec::map_units(&plan, |shard| {
+        replicate_stats(n, shard.range.clone(), &statistic, seed)
+    });
+    let mut stats = Vec::with_capacity(replicates);
+    for partial in partials.into_iter().flatten() {
+        stats.extend(partial?);
+    }
     record_run(replicates, workers, wall_start);
     percentile_ci(n, &statistic, stats, replicates, level)
 }

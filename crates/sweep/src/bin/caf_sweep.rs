@@ -5,25 +5,25 @@
 //!
 //! ```text
 //! caf-sweep --spec grid.json --out DIR [--workers N] [--no-steal]
-//!           [--shard-policy default|finest|disabled]
 //! ```
 //!
 //! Parses and validates the [`SweepSpec`], runs every grid cell on the
 //! cost-aware plan, and writes `DIR/results.json` (the canonical
 //! artifact) and `DIR/results.csv` (the results table). Both emissions
-//! are byte-identical at any `--workers`, steal mode, or shard policy —
-//! the CI determinism gate diffs them across schedules with `cmp`.
+//! are byte-identical at any `--workers`, with stealing or on pinned
+//! lanes (`--no-steal`: every shard runs on the worker lane the plan
+//! dealt it to) — the CI determinism gate diffs them across schedules
+//! with `cmp`.
 
 use caf_core::artifact::to_canonical_bytes;
-use caf_exec::ShardPolicy;
 use caf_sweep::{results_artifact, results_table, SweepOptions, SweepRun, SweepSpec};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: caf-sweep --spec FILE --out DIR [--workers N] [--no-steal] \
-         [--shard-policy default|finest|disabled]"
+        "usage: caf-sweep --spec FILE --out DIR [--workers N] [--no-steal]\n\
+         --no-steal pins every shard to its dealt worker lane (same output)"
     );
     ExitCode::from(2)
 }
@@ -56,12 +56,6 @@ fn main() -> ExitCode {
                 None => return usage(),
             },
             "--no-steal" => options.steal = false,
-            "--shard-policy" => match value("--shard-policy").as_deref() {
-                Some("default") => options.policy = ShardPolicy::default_policy(),
-                Some("finest") => options.policy = ShardPolicy::finest(),
-                Some("disabled") => options.policy = ShardPolicy::disabled(),
-                _ => return usage(),
-            },
             other => {
                 eprintln!("unknown flag {other}");
                 return usage();

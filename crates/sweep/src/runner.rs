@@ -7,9 +7,7 @@ use caf_core::{
     Q3Analysis, SamplingRule, ServiceabilityAnalysis,
 };
 use caf_dataframe::{DataFrame, DataType, Value};
-use caf_exec::{
-    map_units, map_units_stealing_stats, CostHint, Shard, ShardPolicy, StealStats, UnitPlan,
-};
+use caf_exec::{map_units_with, CostHint, Shard, ShardPolicy, UnitPlan};
 use caf_obs::json::Json;
 use caf_synth::{SynthConfig, World};
 
@@ -22,8 +20,8 @@ use crate::spec::SweepSpec;
 pub struct SweepOptions {
     /// Worker threads for the grid plan (cells run serially inside).
     pub workers: usize,
-    /// Run shards on the work-stealing executor (default) or the
-    /// static LPT dispatcher.
+    /// Let idle workers steal shards from other lanes (default); `false`
+    /// pins every shard to the lane the plan dealt it to.
     pub steal: bool,
     /// How aggressively the planner splits state units into shards.
     pub policy: ShardPolicy,
@@ -146,8 +144,8 @@ pub fn compute_cell(seed: u64, cell: &Cell) -> CellResult {
 
 impl SweepRun {
     /// Runs the whole grid: one unit per spec state, per-cell latency
-    /// hints from the scaled state record counts, shards dispatched on
-    /// the stealing (or static) executor, results flattened back into
+    /// hints from the scaled state record counts, shards run on the
+    /// stealing (or pinned-lane) executor, results flattened back into
     /// canonical cell order.
     pub fn run(spec: &SweepSpec, options: SweepOptions) -> SweepRun {
         let cells = spec.cells();
@@ -167,17 +165,7 @@ impl SweepRun {
                 .map(|cell| compute_cell(seed, cell))
                 .collect()
         };
-        let (parts, stats) = if options.steal {
-            map_units_stealing_stats(&plan, body)
-        } else {
-            (
-                map_units(&plan, body),
-                StealStats {
-                    steals: 0,
-                    executed: Vec::new(),
-                },
-            )
-        };
+        let (parts, stats) = map_units_with(&plan, options.steal, body);
         // Units in state order, shards in ascending element order:
         // flattening reproduces `spec.cells()` order exactly.
         let results: Vec<CellResult> = parts.into_iter().flatten().flatten().collect();

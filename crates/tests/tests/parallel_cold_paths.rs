@@ -9,7 +9,7 @@
 //! time. The worker count for the parallel side is taken from the
 //! `CAF_EQUIV_WORKERS` environment variable (default 4) so CI can
 //! exercise two different pool shapes against the same pinned serial
-//! fingerprint; the shard-policy matrix is pinned explicitly via
+//! fingerprint; the shard policy matrix is pinned explicitly via
 //! `EngineConfig::with_shard_policy`.
 
 use caf_core::{EngineConfig, ServiceabilityAnalysis, ShardPolicy};
