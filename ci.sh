@@ -20,7 +20,8 @@
 # reproduction's shape checks at the default seed and scale, the same
 # checks the committed `repro_output.txt` ends with), the golden
 # byte-identity gate (`repro all` at 1 and 4 workers must print exactly
-# the committed `repro_output.txt`), and the serving-layer gate: `caf-serve` is started on an ephemeral
+# the committed `repro_output.txt` and dump byte-identical
+# `repro_artifacts/*.csv`), and the serving-layer gate: `caf-serve` is started on an ephemeral
 # port at two HTTP worker counts, its `/v1/table2` response is
 # byte-compared against the golden artifact the same repro run wrote,
 # its `/v1/debug/traces` flight recorder must show the request's span
@@ -216,15 +217,24 @@ gate "calibration gate: repro validate (all shape checks pass)"
 
 # The golden byte-identity gate: `repro all` must print exactly the
 # committed golden at 1 and 4 workers — every stage that fans out on
-# the executor, the sensitivity sweep included. Run from the CI output
-# dir so the artifacts `repro all` dumps stay out of the worktree.
+# the executor, the sensitivity sweep included — and its `dump` stage
+# must write the same three CSVs at both worker counts. Each run gets
+# its own dir under the CI output dir, so the artifacts `repro all`
+# dumps stay out of the worktree and neither run overwrites the other.
 gate "golden gate: repro all at 1 and 4 workers == repro_output.txt"
 for golden_workers in 1 4; do
-  (cd "$ci_out" && "$OLDPWD/target/release/repro" all --workers "$golden_workers" \
-    >"repro_all.w$golden_workers.txt" 2>/dev/null)
-  cmp "$ci_out/repro_all.w$golden_workers.txt" repro_output.txt
+  golden_run="$ci_out/repro_all.w$golden_workers"
+  mkdir -p "$golden_run"
+  (cd "$golden_run" && "$OLDPWD/target/release/repro" all --workers "$golden_workers" \
+    >stdout.txt 2>/dev/null)
+  cmp "$golden_run/stdout.txt" repro_output.txt
+done
+for dump_csv in audit_rows cbg_serviceability query_records; do
+  cmp "$ci_out/repro_all.w1/repro_artifacts/$dump_csv.csv" \
+    "$ci_out/repro_all.w4/repro_artifacts/$dump_csv.csv"
 done
 echo "    repro all is byte-identical to repro_output.txt at 1 and 4 workers"
+echo "    and dumps byte-identical CSVs at both"
 
 # The serving-layer gate. The /v1/table2 bytes must equal the golden
 # artifact repro just wrote — the determinism contract extended across

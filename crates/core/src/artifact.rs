@@ -17,8 +17,16 @@
 //! boundary: for a fixed [`ScenarioMeta`], an HTTP response at any
 //! server or engine worker count is byte-identical to the repro golden
 //! (`ci.sh`'s serve gate diffs the two).
+//!
+//! The tabular emissions — `repro dump`'s CSV bundle ([`dump_csvs`])
+//! and `caf-sweep`'s `results.csv` — go through the one CSV writer
+//! here ([`csv_header`], [`csv_line`]): `\n` line endings, RFC 4180
+//! quoting, every field its `Display` form, and an empty field for a
+//! missing value ([`Nullable`]).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
 
 use caf_obs::json::Json;
 use caf_stats::{median, quantile};
@@ -331,6 +339,156 @@ pub fn table2(dataset: &AuditDataset) -> Json {
     ])
 }
 
+/// Quotes a CSV field if it contains a delimiter, quote, or line break:
+/// the field is wrapped in `"` and every embedded `"` doubled (RFC 4180).
+fn quote_field(field: &str) -> Cow<'_, str> {
+    if field.contains([',', '"', '\n', '\r']) {
+        Cow::Owned(format!("\"{}\"", field.replace('"', "\"\"")))
+    } else {
+        Cow::Borrowed(field)
+    }
+}
+
+/// Appends one CSV line to `out`: each field's `Display` form, quoted
+/// where RFC 4180 requires it, comma-separated, `\n`-terminated.
+/// Numbers and booleans therefore print as `{}` does (`1` for `1.0`).
+pub fn csv_line(out: &mut String, fields: &[&dyn fmt::Display]) {
+    let mut text = String::new();
+    for (i, field) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        text.clear();
+        write!(text, "{field}").expect("formatting into a String cannot fail");
+        out.push_str(&quote_field(&text));
+    }
+    out.push('\n');
+}
+
+/// Starts a CSV text with its header line.
+pub fn csv_header(columns: &[&str]) -> String {
+    let names: Vec<&dyn fmt::Display> = columns.iter().map(|c| c as &dyn fmt::Display).collect();
+    let mut out = String::new();
+    csv_line(&mut out, &names);
+    out
+}
+
+/// A nullable CSV field: the value's `Display` form, or an empty field
+/// for `None`.
+#[derive(Debug, Clone, Copy)]
+pub struct Nullable<T>(pub Option<T>);
+
+impl<T: fmt::Display> fmt::Display for Nullable<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.0 {
+            Some(value) => value.fmt(f),
+            None => Ok(()),
+        }
+    }
+}
+
+/// The audit's analysis rows as CSV, one line per row: `addr_id, isp,
+/// state, cbg, cbg_total, density, density_pct, served, max_down,
+/// price, guaranteed`. The last three are empty for an unserved row.
+pub fn audit_rows_csv(dataset: &AuditDataset) -> String {
+    let mut out = csv_header(&[
+        "addr_id",
+        "isp",
+        "state",
+        "cbg",
+        "cbg_total",
+        "density",
+        "density_pct",
+        "served",
+        "max_down",
+        "price",
+        "guaranteed",
+    ]);
+    for r in &dataset.rows {
+        let plan = r.max_plan.as_ref();
+        csv_line(
+            &mut out,
+            &[
+                &r.address.0,
+                &r.isp.name(),
+                &r.state.abbrev(),
+                &r.cbg,
+                &r.cbg_total,
+                &r.density,
+                &r.density_pct,
+                &r.served,
+                &Nullable(r.max_down_mbps),
+                &Nullable(plan.map(|p| p.monthly_usd)),
+                &Nullable(plan.map(|p| p.speed_guaranteed)),
+            ],
+        );
+    }
+    out
+}
+
+/// The `repro dump` bundle as `(file name, CSV text)` pairs, in write
+/// order: the audit rows ([`audit_rows_csv`]), the per-CBG
+/// serviceability rates, and every query record (`duration_secs` to
+/// the millisecond).
+pub fn dump_csvs(
+    dataset: &AuditDataset,
+    analysis: &ServiceabilityAnalysis,
+) -> [(&'static str, String); 3] {
+    let mut cbg_csv = csv_header(&[
+        "isp",
+        "state",
+        "cbg",
+        "rate",
+        "weight",
+        "density",
+        "density_pct",
+        "n",
+    ]);
+    for r in &analysis.cbg_rates {
+        csv_line(
+            &mut cbg_csv,
+            &[
+                &r.isp.name(),
+                &r.state.abbrev(),
+                &r.cbg,
+                &r.rate,
+                &r.weight,
+                &r.density,
+                &r.density_pct,
+                &r.n,
+            ],
+        );
+    }
+
+    let mut records_csv = csv_header(&[
+        "addr_id",
+        "isp",
+        "outcome",
+        "attempts",
+        "errors",
+        "duration_secs",
+    ]);
+    for r in &dataset.records {
+        csv_line(
+            &mut records_csv,
+            &[
+                &r.address.0,
+                &r.isp.name(),
+                &r.outcome.label(),
+                &r.attempts,
+                &r.errors.len(),
+                &format_args!("{:.3}", r.duration_secs),
+            ],
+        );
+    }
+
+    [
+        ("audit_rows.csv", audit_rows_csv(dataset)),
+        ("cbg_serviceability.csv", cbg_csv),
+        ("query_records.csv", records_csv),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -401,6 +559,36 @@ mod tests {
             let reparsed = caf_obs::json::parse(bytes.trim_end()).expect("canonical bytes parse");
             assert_sorted_keys(&reparsed, "reparsed");
         }
+    }
+
+    #[test]
+    fn quoting_applied_where_needed() {
+        let mut csv = csv_header(&["isp", "speed", "n", "served"]);
+        csv_line(&mut csv, &[&"at&t", &10.5, &3, &true]);
+        csv_line(&mut csv, &[&"frontier, inc", &100.0, &4, &false]);
+        assert_eq!(
+            csv,
+            "isp,speed,n,served\nat&t,10.5,3,true\n\"frontier, inc\",100,4,false\n"
+        );
+        assert!(matches!(quote_field("plain"), Cow::Borrowed("plain")));
+    }
+
+    #[test]
+    fn embedded_quotes_and_newlines() {
+        assert_eq!(quote_field("say \"hi\""), "\"say \"\"hi\"\"\"");
+        assert_eq!(quote_field("two\nlines"), "\"two\nlines\"");
+        assert_eq!(quote_field("cr\rlf"), "\"cr\rlf\"");
+        let mut csv = String::new();
+        csv_line(&mut csv, &[&"a\"b", &"c,d"]);
+        assert_eq!(csv, "\"a\"\"b\",\"c,d\"\n");
+    }
+
+    #[test]
+    fn nulls_written_as_empty_fields() {
+        let mut csv = csv_header(&["x", "s"]);
+        csv_line(&mut csv, &[&Nullable(Some(1.0)), &Nullable(None::<&str>)]);
+        csv_line(&mut csv, &[&Nullable(None::<f64>), &Nullable(Some("b"))]);
+        assert_eq!(csv, "x,s\n1,\n,b\n");
     }
 
     #[test]

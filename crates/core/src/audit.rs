@@ -17,7 +17,6 @@
 //! determinism contract).
 
 use caf_bqt::{Campaign, CampaignConfig, CampaignResult, QueryRecord, QueryTask};
-use caf_dataframe::{Column, DataFrame};
 use caf_geo::{AddressId, BlockGroupId, LatLon, UsState};
 use caf_synth::{BroadbandPlan, Isp, StateWorld, SynthConfig, TruthTable, World};
 use std::collections::HashMap;
@@ -128,51 +127,6 @@ impl AuditDataset {
     /// Rows for one ISP.
     pub fn rows_for(&self, isp: Isp) -> impl Iterator<Item = &AuditRow> {
         self.rows.iter().filter(move |r| r.isp == isp)
-    }
-
-    /// Converts the analysis rows to a dataframe: `addr_id, isp, state,
-    /// cbg, cbg_total, density, density_pct, served, max_down, price,
-    /// guaranteed`.
-    pub fn to_dataframe(&self) -> DataFrame {
-        let n = self.rows.len();
-        let mut addr = Vec::with_capacity(n);
-        let mut isp = Vec::with_capacity(n);
-        let mut state = Vec::with_capacity(n);
-        let mut cbg = Vec::with_capacity(n);
-        let mut cbg_total = Vec::with_capacity(n);
-        let mut density = Vec::with_capacity(n);
-        let mut density_pct = Vec::with_capacity(n);
-        let mut served = Vec::with_capacity(n);
-        let mut max_down: Vec<Option<f64>> = Vec::with_capacity(n);
-        let mut price: Vec<Option<f64>> = Vec::with_capacity(n);
-        let mut guaranteed: Vec<Option<bool>> = Vec::with_capacity(n);
-        for r in &self.rows {
-            addr.push(r.address.0 as i64);
-            isp.push(r.isp.name());
-            state.push(r.state.abbrev());
-            cbg.push(r.cbg.to_string());
-            cbg_total.push(r.cbg_total as i64);
-            density.push(r.density);
-            density_pct.push(r.density_pct);
-            served.push(r.served);
-            max_down.push(r.max_down_mbps);
-            price.push(r.max_plan.as_ref().map(|p| p.monthly_usd));
-            guaranteed.push(r.max_plan.as_ref().map(|p| p.speed_guaranteed));
-        }
-        DataFrame::new(vec![
-            ("addr_id", addr.into_iter().collect::<Column>()),
-            ("isp", isp.into_iter().collect::<Column>()),
-            ("state", state.into_iter().collect::<Column>()),
-            ("cbg", cbg.into_iter().collect::<Column>()),
-            ("cbg_total", cbg_total.into_iter().collect::<Column>()),
-            ("density", density.into_iter().collect::<Column>()),
-            ("density_pct", density_pct.into_iter().collect::<Column>()),
-            ("served", served.into_iter().collect::<Column>()),
-            ("max_down", Column::Float(max_down)),
-            ("price", Column::Float(price)),
-            ("guaranteed", Column::Bool(guaranteed)),
-        ])
-        .expect("columns constructed with equal lengths")
     }
 }
 
@@ -597,13 +551,19 @@ mod tests {
     }
 
     #[test]
-    fn dataframe_export_matches_rows() {
+    fn csv_export_matches_rows() {
         let (_, ds) = small_audit();
-        let df = ds.to_dataframe();
-        assert_eq!(df.n_rows(), ds.rows.len());
+        let csv = crate::artifact::audit_rows_csv(&ds);
+        let mut lines = csv.lines();
+        let header: Vec<&str> = lines.next().expect("header line").split(',').collect();
+        assert_eq!(header.len(), 11);
+        let served_col = header.iter().position(|c| *c == "served").expect("served");
+        let rows: Vec<Vec<&str>> = lines.map(|l| l.split(',').collect()).collect();
+        assert_eq!(rows.len(), ds.rows.len());
+        assert!(rows.iter().all(|r| r.len() == header.len()));
         let served_count = ds.rows.iter().filter(|r| r.served).count();
-        let df_served = df.filter(|r| r.bool("served") == Some(true)).n_rows();
-        assert_eq!(served_count, df_served);
+        let csv_served = rows.iter().filter(|r| r[served_col] == "true").count();
+        assert_eq!(served_count, csv_served);
     }
 
     #[test]
@@ -620,7 +580,10 @@ mod tests {
 
     fn datasets_equal(a: &AuditDataset, b: &AuditDataset) {
         assert_eq!(a.records, b.records);
-        assert_eq!(a.to_dataframe().to_csv(), b.to_dataframe().to_csv());
+        assert_eq!(
+            crate::artifact::audit_rows_csv(a),
+            crate::artifact::audit_rows_csv(b)
+        );
         assert_eq!(a.coverage.len(), b.coverage.len());
         for (x, y) in a.coverage.iter().zip(&b.coverage) {
             assert_eq!(

@@ -21,10 +21,10 @@
 //!    serviceability, compliance, Q3, counterfactual — against
 //!    policy-parameterized thresholds threaded through
 //!    `caf_core::{compliance,counterfactual,q3}`.
-//! 4. Results reduce into a `caf-dataframe` table with canonical
-//!    JSON/CSV emission that is **byte-identical at any worker count,
-//!    shard policy, or steal schedule** — the engine determinism
-//!    contract, extended to the grid (and gated in ci.sh).
+//! 4. Results reduce into canonical JSON ([`results_artifact`]) and CSV
+//!    ([`results_csv`]) emissions that are **byte-identical at any
+//!    worker count, shard policy, or steal schedule** — the engine
+//!    determinism contract, extended to the grid (and gated in ci.sh).
 //!
 //! The same cells are served live by `caf-serve`'s `GET /v1/sweep`,
 //! where each cell lands in the `ScenarioCache` and spills to the disk
@@ -39,7 +39,5 @@ pub mod runner;
 pub mod spec;
 
 pub use grid::{est_records, Cell, ScenarioKey};
-pub use runner::{
-    cell_body, compute_cell, results_artifact, results_table, SweepOptions, SweepRun,
-};
+pub use runner::{cell_body, compute_cell, results_artifact, results_csv, SweepOptions, SweepRun};
 pub use spec::{SpecError, SweepSpec};

@@ -1,12 +1,12 @@
 //! Grid execution: compile the cells into one cost-aware plan, run
-//! every cell's pipeline, reduce into canonical tables and artifacts.
+//! every cell's pipeline, reduce into canonical JSON and CSV artifacts.
 
 use caf_bqt::CampaignConfig;
+use caf_core::artifact::{csv_header, csv_line, Nullable};
 use caf_core::{
     Audit, AuditConfig, AuditIndex, CompetitionCounterfactual, ComplianceAnalysis, EngineConfig,
     Q3Analysis, SamplingRule, ServiceabilityAnalysis,
 };
-use caf_dataframe::{DataFrame, DataType, Value};
 use caf_exec::{map_units_with, CostHint, Shard, ShardPolicy, UnitPlan};
 use caf_obs::json::Json;
 use caf_synth::{SynthConfig, World};
@@ -247,49 +247,48 @@ pub fn results_artifact(run: &SweepRun) -> Json {
     ])
 }
 
-/// The results table: one row per cell in canonical grid order, typed
-/// columns, nullable statistics as frame nulls. `to_csv` on this frame
-/// is the sweep's CSV emission.
-pub fn results_table(run: &SweepRun) -> DataFrame {
-    let mut frame = DataFrame::with_schema(&[
-        ("state", DataType::Str),
-        ("scale", DataType::Int),
-        ("tier", DataType::Str),
-        ("cap_multiplier", DataType::Float),
-        ("subsidy_rule", DataType::Str),
-        ("key", DataType::Str),
-        ("records", DataType::Int),
-        ("serviceability", DataType::Float),
-        ("compliance_baseline", DataType::Float),
-        ("compliance_policy", DataType::Float),
-        ("price_compliance", DataType::Float),
-        ("tier_attainment", DataType::Float),
-        ("cf_mean_mbps", DataType::Float),
-        ("cf_median_mbps", DataType::Float),
-    ])
-    .expect("sweep schema is well-formed");
-    let opt = |v: Option<f64>| v.map_or(Value::Null, Value::Float);
+/// The sweep's CSV emission (`results.csv`): one row per cell in
+/// canonical grid order, an empty field for each statistic a cell could
+/// not estimate.
+pub fn results_csv(run: &SweepRun) -> String {
+    let mut out = csv_header(&[
+        "state",
+        "scale",
+        "tier",
+        "cap_multiplier",
+        "subsidy_rule",
+        "key",
+        "records",
+        "serviceability",
+        "compliance_baseline",
+        "compliance_policy",
+        "price_compliance",
+        "tier_attainment",
+        "cf_mean_mbps",
+        "cf_median_mbps",
+    ]);
     for r in &run.results {
-        frame
-            .push_row(vec![
-                Value::Str(r.cell.state.abbrev().to_string()),
-                Value::Int(i64::from(r.cell.scale)),
-                Value::Str(r.cell.tier.to_string()),
-                Value::Float(r.cell.cap_multiplier),
-                Value::Str(r.cell.rule.label().to_string()),
-                Value::Str(r.key.hex()),
-                Value::Int(r.records as i64),
-                opt(r.serviceability),
-                opt(r.compliance_baseline),
-                opt(r.compliance_policy),
-                Value::Float(r.price_compliance),
-                opt(r.tier_attainment),
-                opt(r.cf_mean_mbps),
-                opt(r.cf_median_mbps),
-            ])
-            .expect("sweep rows match the schema");
+        csv_line(
+            &mut out,
+            &[
+                &r.cell.state.abbrev(),
+                &r.cell.scale,
+                &r.cell.tier,
+                &r.cell.cap_multiplier,
+                &r.cell.rule.label(),
+                &r.key.hex(),
+                &r.records,
+                &Nullable(r.serviceability),
+                &Nullable(r.compliance_baseline),
+                &Nullable(r.compliance_policy),
+                &r.price_compliance,
+                &Nullable(r.tier_attainment),
+                &Nullable(r.cf_mean_mbps),
+                &Nullable(r.cf_median_mbps),
+            ],
+        );
     }
-    frame
+    out
 }
 
 #[cfg(test)]
@@ -323,7 +322,7 @@ mod tests {
             },
         );
         let reference = to_canonical_bytes(&results_artifact(&baseline));
-        let reference_csv = results_table(&baseline).to_csv();
+        let reference_csv = results_csv(&baseline);
         for (workers, steal, policy) in [
             (2, true, ShardPolicy::default_policy()),
             (4, true, ShardPolicy::finest()),
@@ -342,7 +341,7 @@ mod tests {
                 reference,
                 "workers={workers} steal={steal}"
             );
-            assert_eq!(results_table(&run).to_csv(), reference_csv);
+            assert_eq!(results_csv(&run), reference_csv);
         }
     }
 
@@ -379,9 +378,8 @@ mod tests {
                 policy: ShardPolicy::disabled(),
             },
         );
-        let frame = results_table(&run);
-        assert_eq!(frame.n_rows(), spec.cell_count());
-        let csv = frame.to_csv();
+        let csv = results_csv(&run);
+        assert_eq!(csv.lines().count(), 1 + spec.cell_count());
         assert!(csv.starts_with("state,scale,tier,cap_multiplier"), "{csv}");
     }
 }

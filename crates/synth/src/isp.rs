@@ -79,7 +79,7 @@ impl Isp {
         }
     }
 
-    /// A stable small integer for RNG keying and dataframe encoding.
+    /// A stable small integer for RNG keying.
     pub fn id(self) -> u64 {
         match self {
             Isp::Att => 1,

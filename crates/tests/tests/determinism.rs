@@ -6,17 +6,18 @@
 //! to end: per-state units share only the immutable truth store, every
 //! random draw is entity-keyed, and partials merge in fixed state order,
 //! so the worker count can only move wall-clock time, never bytes. The
-//! CSV assertions replicate the `repro dump` artifact formats so a
-//! regression here is exactly a regression in the shipped artifacts.
+//! CSV assertions hash the bundle `repro dump` writes
+//! (`caf_core::artifact::dump_csvs`), so a regression here is exactly a
+//! regression in the shipped artifacts.
 
 use caf_bqt::CampaignConfig;
+use caf_core::artifact::dump_csvs;
 use caf_core::{
     Audit, AuditConfig, AuditDataset, EngineConfig, SamplingRule, ServiceabilityAnalysis,
 };
 use caf_geo::UsState;
+use caf_snap::fnv1a;
 use caf_synth::{SynthConfig, World};
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
 
 const SEED: u64 = 0xCAF_2024;
 const SCALE: u32 = 40;
@@ -46,47 +47,18 @@ fn audit_at(seed: u64) -> (World, Audit) {
     (world, audit)
 }
 
-/// The `repro dump` artifact bundle, rebuilt from a dataset: the audit
-/// row dataframe, the per-CBG serviceability CSV, and the query-record
-/// CSV, concatenated. Formats mirror `crates/bench/src/bin/repro.rs`.
+/// The `repro dump` artifact bundle for a dataset: its three CSVs
+/// (audit rows, per-CBG serviceability, query records), concatenated in
+/// write order.
 fn dump_csv(dataset: &AuditDataset) -> String {
-    let mut out = dataset.to_dataframe().to_csv();
-
-    out.push_str("isp,state,cbg,rate,weight,density,density_pct,n\n");
-    let analysis = ServiceabilityAnalysis::compute(dataset);
-    for r in &analysis.cbg_rates {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{}\n",
-            r.isp.name(),
-            r.state.abbrev(),
-            r.cbg,
-            r.rate,
-            r.weight,
-            r.density,
-            r.density_pct,
-            r.n
-        ));
-    }
-
-    out.push_str("addr_id,isp,outcome,attempts,errors,duration_secs\n");
-    for r in &dataset.records {
-        out.push_str(&format!(
-            "{},{},{},{},{},{:.3}\n",
-            r.address.0,
-            r.isp.name(),
-            r.outcome.label(),
-            r.attempts,
-            r.errors.len(),
-            r.duration_secs
-        ));
-    }
-    out
+    dump_csvs(dataset, &ServiceabilityAnalysis::compute(dataset))
+        .into_iter()
+        .map(|(_, csv)| csv)
+        .collect()
 }
 
 fn hash_of(s: &str) -> u64 {
-    let mut h = DefaultHasher::new();
-    s.hash(&mut h);
-    h.finish()
+    fnv1a(s.as_bytes())
 }
 
 #[test]
@@ -183,4 +155,15 @@ fn different_seeds_still_differ() {
         hash_of(&dump_csv(&b)),
         "distinct seeds must produce distinct audit artifacts"
     );
+}
+
+#[test]
+fn dump_bundle_bytes_are_pinned() {
+    // The bytes `repro dump` has always written for this audit: any
+    // change to the CSV writer, a column's formatting or the audit
+    // itself moves this hash.
+    let (world, audit) = audit_at(SEED);
+    let csv = dump_csv(&audit.run_with(&world, EngineConfig::serial()));
+    assert_eq!(csv.len(), 295_392);
+    assert_eq!(fnv1a(csv.as_bytes()), 0xf366_0669_189a_9a93);
 }

@@ -6,7 +6,8 @@
 
 use caf_core::artifact::to_canonical_bytes;
 use caf_exec::ShardPolicy;
-use caf_sweep::{results_artifact, results_table, SweepOptions, SweepRun, SweepSpec};
+use caf_snap::fnv1a;
+use caf_sweep::{results_artifact, results_csv, SweepOptions, SweepRun, SweepSpec};
 
 /// Two states at two scales so the plan has real cost skew (Vermont at
 /// 1000 is four times New Hampshire at 2000) without debug-mode runs
@@ -38,7 +39,7 @@ fn emissions_are_byte_identical_across_the_full_schedule_matrix() {
         },
     );
     let reference_json = to_canonical_bytes(&results_artifact(&reference));
-    let reference_csv = results_table(&reference).to_csv();
+    let reference_csv = results_csv(&reference);
     assert_eq!(reference.results.len(), spec.cell_count());
 
     for workers in [1usize, 2, 4] {
@@ -62,7 +63,7 @@ fn emissions_are_byte_identical_across_the_full_schedule_matrix() {
                     reference_json,
                     "{label}"
                 );
-                assert_eq!(results_table(&run).to_csv(), reference_csv, "{label}");
+                assert_eq!(results_csv(&run), reference_csv, "{label}");
             }
         }
     }
@@ -85,4 +86,25 @@ fn committed_ci_spec_stays_valid() {
     keys.sort();
     keys.dedup();
     assert_eq!(keys.len(), 48);
+}
+
+#[test]
+fn results_csv_bytes_are_pinned() {
+    // The `results.csv` bytes the sweep has always emitted for an 8-cell
+    // grid (2 states × 2 tiers × 2 rules; empty statistics included):
+    // any change to the CSV writer or a column's formatting moves them.
+    let spec = SweepSpec::from_json(
+        r#"{
+            "seed": 7,
+            "states": ["VT", "NH"],
+            "scales": [2000],
+            "speed_tiers": ["10_1", "100_20"],
+            "price_cap_multipliers": [1.0],
+            "subsidy_rules": ["status_quo", "full_buildout"]
+        }"#,
+    )
+    .expect("pinned spec is valid");
+    let csv = results_csv(&SweepRun::run(&spec, SweepOptions::default()));
+    assert_eq!(csv.lines().count(), 1 + spec.cell_count());
+    assert_eq!(fnv1a(csv.as_bytes()), 0x3f1b_603f_28f2_da83);
 }

@@ -58,7 +58,10 @@ fn main() {
     let report = EfficacyReport::assemble(&serviceability, &compliance, None);
     println!("\n{}", report.render());
 
-    // 4. The same rows as a dataframe, ready for CSV export.
-    let df = dataset.to_dataframe();
-    println!("First rows of the audit dataset:\n{}", df.head(5));
+    // 4. The same rows as CSV, the `repro dump` export format.
+    let csv = caf_core::artifact::audit_rows_csv(&dataset);
+    println!("First rows of the audit dataset:");
+    for line in csv.lines().take(6) {
+        println!("{line}");
+    }
 }
