@@ -45,7 +45,10 @@
 # and byte-compares all four results.json/results.csv emissions (the
 # grid-cell determinism contract), and the sweep bench smoke validates
 # `BENCH_sweep.json` (with the >= 1.0x 4-worker sweep speedup gate on
-# hosts with >= 4 cores). A supply-chain check
+# hosts with >= 4 cores). Every threshold gate above is one
+# `metrics_check --gate '<metric> <op> <number>'` comparison; the
+# `metric_gate` lines are the gate table (report, metric, threshold and
+# the core count below which the gate skips). A supply-chain check
 # (`cargo deny`) runs when the tool is installed, and the script fails
 # if any gate left the git worktree dirtier than it found it. A
 # per-gate wall-clock summary is printed just before the final
@@ -117,6 +120,59 @@ gate_summary() {
   done
 }
 
+# The metric gate table is the `metric_gate MIN_CORES NAME REPORT EXPR`
+# lines below: each runs `metrics_check --schema-only --gate EXPR REPORT`
+# as its own gate on hosts with at least MIN_CORES cores and says it
+# skipped otherwise. Speedups and wall-clock caps need real parallelism
+# (MIN_CORES 4): on tiny shared hosts they measure scheduler noise.
+cores=$(nproc 2>/dev/null || echo 1)
+metric_gate() {
+  local min_cores=$1 name=$2 report=$3 expr=$4
+  if [ "$cores" -ge "$min_cores" ]; then
+    gate "$name (host has $cores cores)"
+    cargo run --release -q -p caf-bench --bin metrics_check -- \
+      --schema-only --gate "$expr" "$report"
+  else
+    echo "==> skipping $name (host has $cores cores, need $min_cores)"
+  fi
+}
+
+# `start_serve LABEL PORT_FILE ARGS...` boots caf-serve with ARGS on an
+# ephemeral port, waits up to 10 s for its port file, and sets
+# `serve_pid` (which the EXIT trap kills if still alive) and `addr`.
+# `stop_serve LABEL` shuts it down via /quitquitquit; a server still
+# alive 10 s later fails the gate.
+start_serve() {
+  local label=$1 port_file=$2
+  shift 2
+  rm -f "$port_file"
+  ./target/release/caf-serve --addr 127.0.0.1:0 --port-file "$port_file" --quiet "$@" &
+  serve_pid=$!
+  for _ in $(seq 1 100); do
+    [ -s "$port_file" ] && break
+    if ! kill -0 "$serve_pid" 2>/dev/null; then
+      echo "$label exited before startup" >&2
+      exit 1
+    fi
+    sleep 0.1
+  done
+  [ -s "$port_file" ] || { echo "$label never wrote its port file" >&2; exit 1; }
+  addr=$(cat "$port_file")
+}
+stop_serve() {
+  curl -fsS "http://$addr/quitquitquit" >/dev/null
+  for _ in $(seq 1 100); do
+    kill -0 "$serve_pid" 2>/dev/null || break
+    sleep 0.1
+  done
+  if kill -0 "$serve_pid" 2>/dev/null; then
+    echo "$1 did not exit within 10s of /quitquitquit (leaked threads?)" >&2
+    exit 1
+  fi
+  wait "$serve_pid"
+  serve_pid=""
+}
+
 gate "cargo fmt --all -- --check"
 cargo fmt --all -- --check
 
@@ -151,37 +207,19 @@ cargo run --release -q -p caf-bench --bin metrics_check -- --schema-only "$ci_ou
 
 # Speedup regression gate for the cost-aware shard scheduler: the
 # 4-worker world build must not be slower than the 1-worker build.
-# Only meaningful with real parallelism, so skip on small hosts.
-cores=$(nproc 2>/dev/null || echo 1)
-if [ "$cores" -ge 4 ]; then
-  gate "world bench speedup gate (host has $cores cores)"
-  cargo run --release -q -p caf-bench --bin metrics_check -- \
-    --schema-only --min-world-speedup 1.0 "$ci_out/BENCH_world.json"
-  # The bootstrap plateau fix (DESIGN.md §2.3): hoisted stream-base
-  # keying, scratch-buffer reuse, and the stealing executor must hold a
-  # >= 1.3x 4-worker speedup on the ext-ci replicate budget.
-  gate "bootstrap speedup gate (host has $cores cores)"
-  cargo run --release -q -p caf-bench --bin metrics_check -- \
-    --schema-only --min-bootstrap-speedup 1.3 "$ci_out/BENCH_world.json"
-else
-  echo "==> skipping world bench speedup gate (host has $cores cores, need 4)"
-  echo "==> skipping bootstrap speedup gate (host has $cores cores, need 4)"
-fi
+metric_gate 4 "world bench speedup gate" "$ci_out/BENCH_world.json" "meta.world_speedup_4_workers >= 1.0"
+# The bootstrap plateau fix (DESIGN.md §2.3): hoisted stream-base
+# keying, scratch-buffer reuse, and the stealing executor must hold a
+# >= 1.3x 4-worker speedup on the ext-ci replicate budget.
+metric_gate 4 "bootstrap speedup gate" "$ci_out/BENCH_world.json" "meta.bootstrap_speedup_4_workers >= 1.3"
 
 gate "campaign bench smoke: BENCH_campaign.json + schema gate"
 CAF_BENCH_DIR="$ci_out" cargo bench -q -p caf-bench --bench campaign
 cargo run --release -q -p caf-bench --bin metrics_check -- \
   --schema-only "$ci_out/BENCH_campaign.json"
 # The work-stealing campaign scheduler must not be slower at 4 workers
-# than serial (same host-size caveat as the world gate; the bench also
-# self-asserts checkpoint resume equality).
-if [ "$cores" -ge 4 ]; then
-  gate "campaign speedup gate (host has $cores cores)"
-  cargo run --release -q -p caf-bench --bin metrics_check -- \
-    --schema-only --min-campaign-speedup 1.0 "$ci_out/BENCH_campaign.json"
-else
-  echo "==> skipping campaign speedup gate (host has $cores cores, need 4)"
-fi
+# than serial (the bench also self-asserts checkpoint resume equality).
+metric_gate 4 "campaign speedup gate" "$ci_out/BENCH_campaign.json" "meta.campaign_speedup_4_workers >= 1.0"
 
 # Checkpoint/resume smoke: an uninterrupted campaign_run is the
 # reference; a second run is SIGKILLed mid-flight (wherever the kill
@@ -242,21 +280,8 @@ echo "    and dumps byte-identical CSVs at both"
 serve_seed=212803620 # 0xCAF_2024, the repro default
 for http_workers in 1 4; do
   gate "serve gate: caf-serve with $http_workers HTTP worker(s)"
-  port_file="$ci_out/serve_port.$http_workers"
-  rm -f "$port_file"
-  ./target/release/caf-serve --addr 127.0.0.1:0 --workers "$http_workers" \
-    --engine-workers 2 --port-file "$port_file" --quiet &
-  serve_pid=$!
-  for _ in $(seq 1 100); do
-    [ -s "$port_file" ] && break
-    if ! kill -0 "$serve_pid" 2>/dev/null; then
-      echo "caf-serve exited before startup" >&2
-      exit 1
-    fi
-    sleep 0.1
-  done
-  [ -s "$port_file" ] || { echo "caf-serve never wrote its port file" >&2; exit 1; }
-  addr=$(cat "$port_file")
+  start_serve caf-serve "$ci_out/serve_port.$http_workers" \
+    --workers "$http_workers" --engine-workers 2
 
   health=$(curl -fsS "http://$addr/healthz")
   case "$health" in
@@ -297,19 +322,9 @@ for http_workers in 1 4; do
 
   curl -fsS "http://$addr/metrics" -o "$ci_out/serve_metrics.$http_workers.json"
   cargo run --release -q -p caf-bench --bin metrics_check -- \
-    --max-slo-burn 0.5 "$ci_out/serve_metrics.$http_workers.json"
+    --gate "slo.max_burn <= 0.5" "$ci_out/serve_metrics.$http_workers.json"
 
-  curl -fsS "http://$addr/quitquitquit" >/dev/null
-  for _ in $(seq 1 100); do
-    kill -0 "$serve_pid" 2>/dev/null || break
-    sleep 0.1
-  done
-  if kill -0 "$serve_pid" 2>/dev/null; then
-    echo "caf-serve did not exit within 10s of /quitquitquit (leaked threads?)" >&2
-    exit 1
-  fi
-  wait "$serve_pid"
-  serve_pid=""
+  stop_serve caf-serve
   echo "    clean shutdown"
 done
 
@@ -328,23 +343,9 @@ snap_dir="$ci_out/snapshots"
 mkdir -p "$snap_dir"
 cold_first_200_ms=0
 for boot in cold warm; do
-  port_file="$ci_out/serve_port.snap.$boot"
-  rm -f "$port_file"
   boot_start=$(date +%s%N)
-  ./target/release/caf-serve --addr 127.0.0.1:0 --workers 2 \
-    --engine-workers 2 --snapshot-dir "$snap_dir" \
-    --port-file "$port_file" --quiet &
-  serve_pid=$!
-  for _ in $(seq 1 100); do
-    [ -s "$port_file" ] && break
-    if ! kill -0 "$serve_pid" 2>/dev/null; then
-      echo "caf-serve ($boot boot) exited before startup" >&2
-      exit 1
-    fi
-    sleep 0.1
-  done
-  [ -s "$port_file" ] || { echo "caf-serve never wrote its port file" >&2; exit 1; }
-  addr=$(cat "$port_file")
+  start_serve "caf-serve ($boot boot)" "$ci_out/serve_port.snap.$boot" \
+    --workers 2 --engine-workers 2 --snapshot-dir "$snap_dir"
 
   curl -fsS "http://$addr/v1/table2?seed=$serve_seed&scale=150" \
     -o "$ci_out/snap_table2.e0.$boot.json"
@@ -390,32 +391,15 @@ for boot in cold warm; do
     echo "    warm boot: zero cache misses (both epochs served from the snapshot)"
   fi
 
-  curl -fsS "http://$addr/quitquitquit" >/dev/null
-  for _ in $(seq 1 100); do
-    kill -0 "$serve_pid" 2>/dev/null || break
-    sleep 0.1
-  done
-  if kill -0 "$serve_pid" 2>/dev/null; then
-    echo "caf-serve ($boot boot) did not exit within 10s of /quitquitquit" >&2
-    exit 1
-  fi
-  wait "$serve_pid"
-  serve_pid=""
+  stop_serve "caf-serve ($boot boot)"
 done
 # The latency gate catches gross restore regressions (a synchronous
 # world decode, quadratic parsing). The miss-free check above is what
-# proves nothing was rebuilt; this cap tolerates scheduler noise via
-# the 50 ms floor. Wall clocks on tiny shared hosts are pure noise, so
-# gate where the other timing gates run.
-if [ "$cores" -ge 4 ]; then
-  max_restart_ms=$(( cold_first_200_ms / 10 ))
-  [ "$max_restart_ms" -ge 50 ] || max_restart_ms=50
-  gate "restart latency gate (host has $cores cores; cold first-200 ${cold_first_200_ms} ms)"
-  cargo run --release -q -p caf-bench --bin metrics_check -- \
-    --schema-only --max-restart-ms "$max_restart_ms" "$ci_out/snap_metrics.json"
-else
-  echo "==> skipping restart latency gate (host has $cores cores, need 4)"
-fi
+# proves nothing was rebuilt; this cap (a tenth of the cold first-200
+# wall) tolerates scheduler noise via the 50 ms floor.
+max_restart_ms=$(( cold_first_200_ms / 10 ))
+[ "$max_restart_ms" -ge 50 ] || max_restart_ms=50
+metric_gate 4 "restart latency gate" "$ci_out/snap_metrics.json" "gauges.caf.snap.restore_us <= $(( max_restart_ms * 1000 ))"
 
 gate "serve bench smoke: BENCH_serve.json + schema gate"
 CAF_BENCH_SERVE_QUICK=1 CAF_BENCH_DIR="$ci_out" \
@@ -424,25 +408,11 @@ cargo run --release -q -p caf-bench --bin metrics_check -- --schema-only "$ci_ou
 # The committed baseline must stay schema-valid too.
 cargo run --release -q -p caf-bench --bin metrics_check -- --schema-only BENCH_serve.json
 # Tracing must stay effectively free: warm p50 with the flight recorder
-# attached may not exceed the untraced p50 by more than 5%. Quick-mode
-# medians are scheduler noise on tiny shared hosts, so gate where the
-# other timing gates run.
-if [ "$cores" -ge 4 ]; then
-  gate "trace overhead gate (host has $cores cores)"
-  cargo run --release -q -p caf-bench --bin metrics_check -- \
-    --schema-only --max-trace-overhead-pct 5.0 "$ci_out/BENCH_serve.json"
-else
-  echo "==> skipping trace overhead gate (host has $cores cores, need 4)"
-fi
+# attached may not exceed the untraced p50 by more than 5%.
+metric_gate 4 "trace overhead gate" "$ci_out/BENCH_serve.json" "meta.trace_overhead_pct <= 5.0"
 # Snapshot restore must beat the cold build by >= 10x in the bench's
-# own restart-to-first-200 measurement (same host-size caveat).
-if [ "$cores" -ge 4 ]; then
-  gate "restart speedup gate (host has $cores cores)"
-  cargo run --release -q -p caf-bench --bin metrics_check -- \
-    --schema-only --min-restart-speedup 10.0 "$ci_out/BENCH_serve.json"
-else
-  echo "==> skipping restart speedup gate (host has $cores cores, need 4)"
-fi
+# own restart-to-first-200 measurement.
+metric_gate 4 "restart speedup gate" "$ci_out/BENCH_serve.json" "meta.restart_speedup >= 10.0"
 
 # The challenge-replay gate: the committed sample delta stream must
 # produce byte-identical artifacts whether it is folded in batch-by-
@@ -466,16 +436,8 @@ CAF_BENCH_DIR="$ci_out" cargo bench -q -p caf-bench --bench challenge
 cargo run --release -q -p caf-bench --bin metrics_check -- \
   --schema-only "$ci_out/BENCH_challenge.json"
 # Incremental recompute must beat a full rebuild by >= 5x after a small
-# delta batch (the DESIGN.md §4 acceptance bar). The quick-mode wall
-# clocks are noisy on tiny shared hosts, so gate where the world bench
-# speedup gate also runs.
-if [ "$cores" -ge 4 ]; then
-  gate "incremental speedup gate (host has $cores cores)"
-  cargo run --release -q -p caf-bench --bin metrics_check -- \
-    --schema-only --min-incremental-speedup 5.0 "$ci_out/BENCH_challenge.json"
-else
-  echo "==> skipping incremental speedup gate (host has $cores cores, need 4)"
-fi
+# delta batch (the DESIGN.md §4 acceptance bar).
+metric_gate 4 "incremental speedup gate" "$ci_out/BENCH_challenge.json" "meta.incremental_speedup >= 5.0"
 
 # The sweep determinism gate: the committed grid spec must emit
 # byte-identical results.json/results.csv at {1,4} workers, stealing
@@ -508,15 +470,9 @@ cargo run --release -q -p caf-bench --bin metrics_check -- \
 # The committed baseline must stay schema-valid too.
 cargo run --release -q -p caf-bench --bin metrics_check -- --schema-only BENCH_sweep.json
 # The cost-aware sweep plan must not be slower at 4 workers than serial
-# (same host-size caveat as the other speedup gates; the bench also
-# self-asserts grid determinism and the 2x re-run memo hit ratio).
-if [ "$cores" -ge 4 ]; then
-  gate "sweep speedup gate (host has $cores cores)"
-  cargo run --release -q -p caf-bench --bin metrics_check -- \
-    --schema-only --min-sweep-speedup 1.0 "$ci_out/BENCH_sweep.json"
-else
-  echo "==> skipping sweep speedup gate (host has $cores cores, need 4)"
-fi
+# (the bench also self-asserts grid determinism and the 2x re-run memo
+# hit ratio).
+metric_gate 4 "sweep speedup gate" "$ci_out/BENCH_sweep.json" "meta.sweep_speedup_4_workers >= 1.0"
 
 gate "supply-chain gate: cargo deny"
 if command -v cargo-deny >/dev/null; then

@@ -8,8 +8,9 @@
 //! metadata:
 //!
 //! * `campaign_speedup_4_workers` — 1-worker wall over 4-worker wall
-//!   with stealing on (`metrics_check --min-campaign-speedup` gates on
-//!   it on ≥4-core hosts).
+//!   with stealing on (`metrics_check --gate
+//!   'meta.campaign_speedup_4_workers >= 1.0'` gates on it on ≥4-core
+//!   hosts).
 //! * `campaign_steals_4_workers` — tasks migrated by the stealing
 //!   executor during the 4-worker pass (from the `caf.exec.steals`
 //!   counter).
@@ -200,20 +201,14 @@ fn main() {
             format!("{seconds:.3}"),
         );
     }
-    let report = caf_obs::RunReport::collect(meta);
-    let dir = std::env::var("CAF_BENCH_DIR")
-        .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../..").to_string());
-    let path = std::path::Path::new(&dir).join("BENCH_campaign.json");
-    let mut line = report.to_json();
-    line.push('\n');
-    match std::fs::write(&path, line) {
-        Ok(()) => eprintln!(
-            "wrote bench summary to {} (4-worker speedup {speedup_4w:.2}x, \
-             steals {}, checkpoint overhead {overhead_pct:.1}%, resume_equal {resume_equal})",
-            path.display(),
+    caf_bench::write_bench_report(
+        "BENCH_campaign.json",
+        &caf_obs::RunReport::collect(meta),
+        &format!(
+            "4-worker speedup {speedup_4w:.2}x, steals {}, \
+             checkpoint overhead {overhead_pct:.1}%, resume_equal {resume_equal}",
             steals[&4],
         ),
-        Err(error) => eprintln!("cannot write {}: {error}", path.display()),
-    }
+    );
     assert!(resume_equal, "resumed campaign must equal the plain run");
 }

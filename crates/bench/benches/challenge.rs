@@ -7,8 +7,8 @@
 //! `BENCH_challenge.json` at the repository root (or `$CAF_BENCH_DIR`).
 //! The `incremental_speedup` metadata key is the acceptance bar: a
 //! delta batch touching ≤5% of CBG cells at scale 150 must refresh at
-//! least 5× faster than a full re-audit (`metrics_check
-//! --min-incremental-speedup` gates on it).
+//! least 5× faster than a full re-audit (`metrics_check --gate
+//! 'meta.incremental_speedup >= 5.0'` gates on it).
 
 use caf_bench::campaign_config;
 use caf_core::{Audit, AuditConfig, EngineConfig, IncrementalAudit, SamplingRule};
@@ -143,18 +143,9 @@ fn main() {
     );
     meta.insert("incremental_speedup".to_string(), format!("{speedup:.2}"));
     meta.insert("deltas_per_s".to_string(), format!("{deltas_per_s:.1}"));
-    let report = caf_obs::RunReport::collect(meta);
-    let dir = std::env::var("CAF_BENCH_DIR")
-        .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../..").to_string());
-    let path = std::path::Path::new(&dir).join("BENCH_challenge.json");
-    let mut line = report.to_json();
-    line.push('\n');
-    match std::fs::write(&path, line) {
-        Ok(()) => eprintln!(
-            "wrote bench summary to {} (incremental speedup {speedup:.2}x over {} cells)",
-            path.display(),
-            total_cells
-        ),
-        Err(error) => eprintln!("cannot write {}: {error}", path.display()),
-    }
+    caf_bench::write_bench_report(
+        "BENCH_challenge.json",
+        &caf_obs::RunReport::collect(meta),
+        &format!("incremental speedup {speedup:.2}x over {total_cells} cells"),
+    );
 }

@@ -44,16 +44,9 @@ fn main() {
     meta.insert("seed".to_string(), SEED.to_string());
     meta.insert("scale".to_string(), SCALE.to_string());
     meta.insert("workers".to_string(), "1,2,4".to_string());
-    let report = caf_obs::RunReport::collect(meta);
-    // CAF_BENCH_DIR redirects the summary (CI points it at an artifact
-    // directory so smoke runs never dirty the committed baseline).
-    let dir = std::env::var("CAF_BENCH_DIR")
-        .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../..").to_string());
-    let path = std::path::Path::new(&dir).join("BENCH_engine.json");
-    let mut line = report.to_json();
-    line.push('\n');
-    match std::fs::write(&path, line) {
-        Ok(()) => eprintln!("wrote bench summary to {}", path.display()),
-        Err(error) => eprintln!("cannot write {}: {error}", path.display()),
-    }
+    caf_bench::write_bench_report(
+        "BENCH_engine.json",
+        &caf_obs::RunReport::collect(meta),
+        "audits at 1, 2 and 4 workers",
+    );
 }

@@ -8,8 +8,9 @@
 //! metadata:
 //!
 //! * `sweep_speedup_4_workers` — 1-worker grid wall over 4-worker grid
-//!   wall with stealing on (`metrics_check --min-sweep-speedup` gates
-//!   on it on ≥4-core hosts).
+//!   wall with stealing on (`metrics_check --gate
+//!   'meta.sweep_speedup_4_workers >= 1.0'` gates on it on ≥4-core
+//!   hosts).
 //! * `sweep_cells_per_s` — grid throughput at 4 workers.
 //! * `sweep_steals_4_workers` — shards migrated by the stealing
 //!   executor during the 4-worker pass.
@@ -146,21 +147,14 @@ fn main() {
             format!("{seconds:.3}"),
         );
     }
-    let report = caf_obs::RunReport::collect(meta);
-    let dir = std::env::var("CAF_BENCH_DIR")
-        .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../..").to_string());
-    let path = std::path::Path::new(&dir).join("BENCH_sweep.json");
-    let mut line = report.to_json();
-    line.push('\n');
-    match std::fs::write(&path, line) {
-        Ok(()) => eprintln!(
-            "wrote bench summary to {} (4-worker speedup {speedup_4w:.2}x, \
-             {cells_per_s:.1} cells/s, steals {steals_4w}, hit ratio {hit_ratio:.2}, \
-             deterministic {deterministic})",
-            path.display(),
+    caf_bench::write_bench_report(
+        "BENCH_sweep.json",
+        &caf_obs::RunReport::collect(meta),
+        &format!(
+            "4-worker speedup {speedup_4w:.2}x, {cells_per_s:.1} cells/s, \
+             steals {steals_4w}, hit ratio {hit_ratio:.2}, deterministic {deterministic}"
         ),
-        Err(error) => eprintln!("cannot write {}: {error}", path.display()),
-    }
+    );
     assert!(
         deterministic,
         "sweep emissions must be byte-identical at any worker count"

@@ -119,19 +119,9 @@ fn main() {
             format!("{seconds:.3}"),
         );
     }
-    let report = caf_obs::RunReport::collect(meta);
-    // CAF_BENCH_DIR redirects the summary (CI points it at an artifact
-    // directory so smoke runs never dirty the committed baseline).
-    let dir = std::env::var("CAF_BENCH_DIR")
-        .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../..").to_string());
-    let path = std::path::Path::new(&dir).join("BENCH_world.json");
-    let mut line = report.to_json();
-    line.push('\n');
-    match std::fs::write(&path, line) {
-        Ok(()) => eprintln!(
-            "wrote bench summary to {} (4-worker speedup {speedup_4w:.2}x)",
-            path.display()
-        ),
-        Err(error) => eprintln!("cannot write {}: {error}", path.display()),
-    }
+    caf_bench::write_bench_report(
+        "BENCH_world.json",
+        &caf_obs::RunReport::collect(meta),
+        &format!("4-worker speedup {speedup_4w:.2}x"),
+    );
 }

@@ -16,57 +16,16 @@
 //! different pipeline (e.g. `BENCH_world.json`, which records world
 //! generation and bootstrap spans, not an audit).
 //!
-//! `--min-world-speedup X` additionally reads the
-//! `world_speedup_4_workers` metadata that the world bench records
-//! (1-worker wall over 4-worker wall) and fails if it is below `X` —
-//! the CI regression gate for the cost-aware shard scheduler. `ci.sh`
-//! only passes the flag on hosts with at least 4 cores, where the
-//! speedup is meaningful.
-//!
-//! `--min-bootstrap-speedup X` does the same for the
-//! `bootstrap_speedup_4_workers` metadata the world bench records —
-//! the regression gate for the bootstrap hot path (hoisted stream-base
-//! keying, scratch-buffer reuse, stealing executor; DESIGN.md §2.3).
-//! CI gates it at 1.3× on hosts with at least 4 cores.
-//!
-//! `--min-campaign-speedup X` does the same for the
-//! `campaign_speedup_4_workers` metadata the campaign bench records
-//! (1-worker wall over 4-worker wall with stealing on) — the
-//! regression gate for the work-stealing campaign scheduler.
-//!
-//! `--min-incremental-speedup X` does the same for the
-//! `incremental_speedup` metadata that the challenge bench records
-//! (full re-audit wall over incremental refresh wall after a small
-//! delta batch) — the regression gate for the epoch-versioned
-//! incremental recompute path.
-//!
-//! `--min-sweep-speedup X` does the same for the
-//! `sweep_speedup_4_workers` metadata the sweep bench records
-//! (1-worker grid wall over 4-worker grid wall with stealing on) —
-//! the regression gate for the cost-aware policy sweep scheduler.
-//!
-//! `--max-slo-burn FRAC` scans the `caf.slo.<route>.*` counters in a
-//! server `/metrics` report and fails if any route with traffic burned
-//! more than `FRAC` of its requests (latency target misses plus 5xx) —
-//! the SLO gate over the serving layer.
-//!
-//! `--max-trace-overhead-pct X` reads the `trace_overhead_pct` metadata
-//! that `serve_bench` records (warm p50 with the flight recorder
-//! attached vs. without) and fails above `X` — tracing must stay
-//! effectively free.
-//!
-//! `--max-restart-ms X` reads the `caf.snap.restore_us` gauge from a
-//! server `/metrics` report and fails if the snapshot restore took
-//! longer than `X` milliseconds (or never happened) — the warm-restart
-//! latency gate.
-//!
-//! `--min-restart-speedup X` reads `cold_ms` and `snapshot_restore_ms`
-//! from the serve bench metadata and fails if the cold build is not at
-//! least `X`× slower than the snapshot restart — restoring must beat
-//! recomputing by a wide margin to be worth the disk.
-//!
-//! Metadata gates accept numbers in both forms: proper JSON numbers
-//! (current report writers) and quoted numeric strings (older reports).
+//! `--gate '<metric> <op> <number>'` (repeatable; `op` is `>=` or `<=`)
+//! fails unless the report's metric satisfies the comparison; a metric
+//! the report lacks fails too. Metrics come from three namespaces:
+//! `meta.<key>` (report metadata such as a bench speedup, as a JSON
+//! number or a quoted numeric string), `gauges.<name>` (a registry
+//! gauge such as `caf.snap.restore_us`) and `slo.max_burn` (the worst
+//! `(latency_burn + error_burn) / requests` over the `caf.slo.<route>.*`
+//! counters of a server `/metrics` report, among routes with traffic;
+//! missing when no route saw any). The `metric_gate` lines in `ci.sh`
+//! are the gate table: report, metric, threshold and core floor.
 //!
 //! Exits non-zero with a message on the first violation, so `ci.sh` can
 //! use it as a schema-drift gate.
@@ -79,10 +38,9 @@ fn fail(message: &str) -> ! {
     std::process::exit(1);
 }
 
-/// Reads `meta.<name>` as a number, accepting both proper JSON numbers
-/// and quoted numeric strings.
-fn meta_number(report: &Json, name: &str) -> Option<f64> {
-    match report.get("meta").and_then(|m| m.get(name))? {
+/// Reads a JSON number or a quoted numeric string.
+fn number(value: &Json) -> Option<f64> {
+    match value {
         Json::UInt(v) => Some(*v as f64),
         Json::Num(v) => Some(*v),
         Json::Str(s) => s.parse().ok(),
@@ -90,106 +48,137 @@ fn meta_number(report: &Json, name: &str) -> Option<f64> {
     }
 }
 
-/// Returns the sorted key/value pairs of `report.metrics.<section>`.
+/// Returns the sorted key/value pairs of `report.metrics.<name>` (empty
+/// when absent; the schema check requires both sections).
 fn section<'a>(report: &'a Json, name: &str) -> &'a [(String, Json)] {
     report
         .get("metrics")
         .and_then(|m| m.get(name))
         .and_then(Json::as_obj)
-        .unwrap_or_else(|| fail(&format!("report has no metrics.{name} object")))
+        .unwrap_or_default()
+}
+
+/// One `--gate` expression: `metric` must be at least (or at most) `threshold`.
+struct Gate {
+    metric: String,
+    at_least: bool,
+    threshold: f64,
+}
+
+impl Gate {
+    /// Parses `<metric> <op> <number>`, rejecting an unknown namespace,
+    /// an unknown op or a non-numeric threshold.
+    fn parse(expr: &str) -> Result<Gate, String> {
+        let parts: Vec<&str> = expr.split_whitespace().collect();
+        let [metric, op, threshold] = parts[..] else {
+            return Err(format!("gate {expr:?} is not `<metric> <op> <number>`"));
+        };
+        let known = match metric.split_once('.') {
+            Some(("meta" | "gauges", name)) => !name.is_empty(),
+            _ => metric == "slo.max_burn",
+        };
+        if !known {
+            return Err(format!(
+                "gate {expr:?}: unknown metric {metric:?} \
+                 (expected meta.<key>, gauges.<name> or slo.max_burn)"
+            ));
+        }
+        let at_least = match op {
+            ">=" => true,
+            "<=" => false,
+            _ => return Err(format!("gate {expr:?}: unknown op {op:?}, not >= or <=")),
+        };
+        let threshold = threshold
+            .parse::<f64>()
+            .ok()
+            .filter(|t| t.is_finite())
+            .ok_or_else(|| format!("gate {expr:?}: threshold {threshold:?} is not a number"))?;
+        Ok(Gate {
+            metric: metric.to_string(),
+            at_least,
+            threshold,
+        })
+    }
+
+    /// Evaluates the gate: `Ok` with the passing comparison, `Err` with
+    /// the violation (a missing metric is one).
+    fn check(&self, report: &Json) -> Result<String, String> {
+        let (value, note) = resolve(report, &self.metric)?;
+        let (op, holds) = if self.at_least {
+            (">=", value >= self.threshold)
+        } else {
+            ("<=", value <= self.threshold)
+        };
+        let comparison = format!("{} {value} {op} {}{note}", self.metric, self.threshold);
+        if holds {
+            Ok(comparison)
+        } else {
+            Err(format!("gate failed: {comparison} does not hold"))
+        }
+    }
+}
+
+/// The value of a metric [`Gate::parse`] accepted, with a note naming
+/// what a derived value came from; `Err` when the report lacks it.
+fn resolve(report: &Json, metric: &str) -> Result<(f64, String), String> {
+    let value = match metric.split_once('.') {
+        Some(("meta", key)) => report.get("meta").and_then(|m| m.get(key)),
+        Some(("gauges", name)) => section(report, "gauges")
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| v),
+        _ => return max_slo_burn(report),
+    };
+    value
+        .and_then(number)
+        .map(|v| (v, String::new()))
+        .ok_or_else(|| format!("`{metric}` missing or not a number"))
+}
+
+/// The worst SLO burn over routes with traffic, noting that route.
+fn max_slo_burn(report: &Json) -> Result<(f64, String), String> {
+    let counters = section(report, "counters");
+    let counter = |name: String| {
+        counters
+            .iter()
+            .find(|(n, _)| *n == name)
+            .and_then(|(_, value)| value.as_u64())
+            .unwrap_or(0)
+    };
+    counters
+        .iter()
+        .filter_map(|(name, value)| {
+            let route = name.strip_prefix("caf.slo.")?.strip_suffix(".requests")?;
+            let requests = value.as_u64().filter(|&requests| requests > 0)?;
+            let burned = counter(format!("caf.slo.{route}.latency_burn"))
+                + counter(format!("caf.slo.{route}.error_burn"));
+            let note = format!(" (worst route {route}: {burned}/{requests} requests slow or 5xx)");
+            Some((burned as f64 / requests as f64, note))
+        })
+        .max_by(|a, b| a.0.total_cmp(&b.0))
+        .ok_or_else(|| "no caf.slo.<route>.requests counter saw traffic; nothing to gate".into())
 }
 
 fn main() {
     let mut schema_only = false;
-    let mut min_world_speedup: Option<f64> = None;
-    let mut min_bootstrap_speedup: Option<f64> = None;
-    let mut min_campaign_speedup: Option<f64> = None;
-    let mut min_incremental_speedup: Option<f64> = None;
-    let mut min_sweep_speedup: Option<f64> = None;
-    let mut max_slo_burn: Option<f64> = None;
-    let mut max_trace_overhead_pct: Option<f64> = None;
-    let mut max_restart_ms: Option<f64> = None;
-    let mut min_restart_speedup: Option<f64> = None;
+    let mut gates = Vec::new();
     let mut path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--schema-only" => schema_only = true,
-            "--min-world-speedup" => {
-                min_world_speedup = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| fail("--min-world-speedup needs a number")),
-                );
+            "--gate" => {
+                let expr = args
+                    .next()
+                    .unwrap_or_else(|| fail("--gate needs '<metric> <op> <number>'"));
+                gates.push(Gate::parse(&expr).unwrap_or_else(|error| fail(&error)));
             }
-            "--min-bootstrap-speedup" => {
-                min_bootstrap_speedup = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| fail("--min-bootstrap-speedup needs a number")),
-                );
-            }
-            "--min-campaign-speedup" => {
-                min_campaign_speedup = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| fail("--min-campaign-speedup needs a number")),
-                );
-            }
-            "--min-incremental-speedup" => {
-                min_incremental_speedup = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| fail("--min-incremental-speedup needs a number")),
-                );
-            }
-            "--min-sweep-speedup" => {
-                min_sweep_speedup = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| fail("--min-sweep-speedup needs a number")),
-                );
-            }
-            "--max-slo-burn" => {
-                max_slo_burn = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| fail("--max-slo-burn needs a number")),
-                );
-            }
-            "--max-trace-overhead-pct" => {
-                max_trace_overhead_pct = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| fail("--max-trace-overhead-pct needs a number")),
-                );
-            }
-            "--max-restart-ms" => {
-                max_restart_ms = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| fail("--max-restart-ms needs a number")),
-                );
-            }
-            "--min-restart-speedup" => {
-                min_restart_speedup = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| fail("--min-restart-speedup needs a number")),
-                );
-            }
-            other if path.is_none() => path = Some(other.to_string()),
+            other if path.is_none() && !other.starts_with("--") => path = Some(other.to_string()),
             other => fail(&format!("unexpected argument {other:?}")),
         }
     }
     let path = path.unwrap_or_else(|| {
-        fail(
-            "usage: metrics_check [--schema-only] [--min-world-speedup X] \
-             [--min-bootstrap-speedup X] [--min-campaign-speedup X] \
-             [--min-incremental-speedup X] [--min-sweep-speedup X] \
-             [--max-slo-burn FRAC] [--max-trace-overhead-pct X] \
-             [--max-restart-ms X] [--min-restart-speedup X] <report.json>",
-        )
+        fail("usage: metrics_check [--schema-only] [--gate '<metric> <op> <number>']... <report.json>")
     });
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|error| fail(&format!("cannot read {path}: {error}")));
@@ -228,149 +217,9 @@ fn main() {
         }
     }
 
-    if let Some(min) = min_world_speedup {
-        let speedup = meta_number(&report, "world_speedup_4_workers")
-            .unwrap_or_else(|| fail("meta `world_speedup_4_workers` missing or not a number"));
-        if speedup < min {
-            fail(&format!(
-                "world_speedup_4_workers {speedup:.2} is below the required {min:.2} \
-                 — the shard scheduler regressed (see DESIGN.md §2.1)"
-            ));
-        }
-        println!("metrics_check: world_speedup_4_workers {speedup:.2} >= {min:.2}");
-    }
-
-    if let Some(min) = min_bootstrap_speedup {
-        let speedup = meta_number(&report, "bootstrap_speedup_4_workers")
-            .unwrap_or_else(|| fail("meta `bootstrap_speedup_4_workers` missing or not a number"));
-        if speedup < min {
-            fail(&format!(
-                "bootstrap_speedup_4_workers {speedup:.2} is below the required {min:.2} \
-                 — the parallel bootstrap hot path regressed (see DESIGN.md §2.3)"
-            ));
-        }
-        println!("metrics_check: bootstrap_speedup_4_workers {speedup:.2} >= {min:.2}");
-    }
-
-    if let Some(min) = min_campaign_speedup {
-        let speedup = meta_number(&report, "campaign_speedup_4_workers")
-            .unwrap_or_else(|| fail("meta `campaign_speedup_4_workers` missing or not a number"));
-        if speedup < min {
-            fail(&format!(
-                "campaign_speedup_4_workers {speedup:.2} is below the required {min:.2} \
-                 — the work-stealing campaign scheduler regressed (see DESIGN.md §2.3)"
-            ));
-        }
-        println!("metrics_check: campaign_speedup_4_workers {speedup:.2} >= {min:.2}");
-    }
-
-    if let Some(min) = min_incremental_speedup {
-        let speedup = meta_number(&report, "incremental_speedup")
-            .unwrap_or_else(|| fail("meta `incremental_speedup` missing or not a number"));
-        if speedup < min {
-            fail(&format!(
-                "incremental_speedup {speedup:.2} is below the required {min:.2} \
-                 — the incremental recompute path regressed (see DESIGN.md §4)"
-            ));
-        }
-        println!("metrics_check: incremental_speedup {speedup:.2} >= {min:.2}");
-    }
-
-    if let Some(min) = min_sweep_speedup {
-        let speedup = meta_number(&report, "sweep_speedup_4_workers")
-            .unwrap_or_else(|| fail("meta `sweep_speedup_4_workers` missing or not a number"));
-        if speedup < min {
-            fail(&format!(
-                "sweep_speedup_4_workers {speedup:.2} is below the required {min:.2} \
-                 — the cost-aware sweep scheduler regressed (see DESIGN.md §5)"
-            ));
-        }
-        println!("metrics_check: sweep_speedup_4_workers {speedup:.2} >= {min:.2}");
-    }
-
-    if let Some(max) = max_slo_burn {
-        let counter = |name: &str| {
-            counters
-                .iter()
-                .find(|(n, _)| n == name)
-                .and_then(|(_, value)| value.as_u64())
-                .unwrap_or(0)
-        };
-        let mut routes_with_traffic = 0u32;
-        for (name, value) in counters {
-            let Some(route) = name
-                .strip_prefix("caf.slo.")
-                .and_then(|rest| rest.strip_suffix(".requests"))
-            else {
-                continue;
-            };
-            let requests = value.as_u64().unwrap_or(0);
-            if requests == 0 {
-                continue;
-            }
-            routes_with_traffic += 1;
-            let burned = counter(&format!("caf.slo.{route}.latency_burn"))
-                + counter(&format!("caf.slo.{route}.error_burn"));
-            let burn = burned as f64 / requests as f64;
-            if burn > max {
-                fail(&format!(
-                    "route {route} burned {burn:.3} of its SLO budget \
-                     ({burned}/{requests} requests slow or 5xx; max {max:.3})"
-                ));
-            }
-        }
-        if routes_with_traffic == 0 {
-            fail("no caf.slo.<route>.requests counter saw traffic; nothing to gate");
-        }
-        println!("metrics_check: SLO burn <= {max:.3} across {routes_with_traffic} route(s)");
-    }
-
-    if let Some(max) = max_trace_overhead_pct {
-        let overhead = meta_number(&report, "trace_overhead_pct")
-            .unwrap_or_else(|| fail("meta `trace_overhead_pct` missing or not a number"));
-        if overhead > max {
-            fail(&format!(
-                "trace_overhead_pct {overhead:.1} exceeds the allowed {max:.1} \
-                 — per-request tracing is no longer effectively free (see DESIGN.md)"
-            ));
-        }
-        println!("metrics_check: trace_overhead_pct {overhead:.1} <= {max:.1}");
-    }
-
-    if let Some(max) = max_restart_ms {
-        let restore_us = gauges
-            .iter()
-            .find(|(name, _)| name == "caf.snap.restore_us")
-            .and_then(|(_, value)| value.as_u64())
-            .unwrap_or_else(|| {
-                fail("gauge `caf.snap.restore_us` missing — the server did not restore a snapshot")
-            });
-        let restore_ms = restore_us as f64 / 1e3;
-        if restore_ms > max {
-            fail(&format!(
-                "snapshot restore took {restore_ms:.1} ms, above the allowed {max:.1} ms \
-                 — warm restarts regressed (see DESIGN.md)"
-            ));
-        }
-        println!("metrics_check: snapshot restore {restore_ms:.1} ms <= {max:.1} ms");
-    }
-
-    if let Some(min) = min_restart_speedup {
-        let cold_ms = meta_number(&report, "cold_ms")
-            .unwrap_or_else(|| fail("meta `cold_ms` missing or not a number"));
-        let restore_ms = meta_number(&report, "snapshot_restore_ms")
-            .unwrap_or_else(|| fail("meta `snapshot_restore_ms` missing or not a number"));
-        if restore_ms <= 0.0 {
-            fail("meta `snapshot_restore_ms` must be positive");
-        }
-        let speedup = cold_ms / restore_ms;
-        if speedup < min {
-            fail(&format!(
-                "restart speedup {speedup:.1}x (cold {cold_ms:.1} ms / restore {restore_ms:.1} ms) \
-                 is below the required {min:.1}x — snapshots no longer beat recomputing"
-            ));
-        }
-        println!("metrics_check: restart speedup {speedup:.1}x >= {min:.1}x");
+    for gate in &gates {
+        let comparison = gate.check(&report).unwrap_or_else(|error| fail(&error));
+        println!("metrics_check: {comparison}");
     }
 
     let mode = if schema_only { " [schema only]" } else { "" };
@@ -380,4 +229,101 @@ fn main() {
         counters.len(),
         gauges.len()
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// An in-memory report with the given `meta`, counter and gauge
+    /// object bodies.
+    fn report(meta: &str, counters: &str, gauges: &str) -> Json {
+        let text = format!(
+            r#"{{"meta":{{{meta}}},"metrics":{{"counters":{{{counters}}},"gauges":{{{gauges}}}}},"spans":{{}}}}"#
+        );
+        caf_obs::json::parse(&text).expect("test report parses")
+    }
+
+    fn check(report: &Json, expr: &str) -> Result<String, String> {
+        Gate::parse(expr)?.check(report)
+    }
+
+    #[test]
+    fn ops_compare_at_and_around_the_threshold() {
+        let r = report(r#""speedup":"1.30""#, "", "");
+        assert!(check(&r, "meta.speedup >= 1.29").is_ok());
+        assert!(check(&r, "meta.speedup >= 1.3").is_ok());
+        assert!(check(&r, "meta.speedup >= 1.31").is_err());
+        assert!(check(&r, "meta.speedup <= 1.29").is_err());
+        assert!(check(&r, "meta.speedup <= 1.3").is_ok());
+        assert!(check(&r, "meta.speedup <= 1.31").is_ok());
+    }
+
+    #[test]
+    fn meta_reads_quoted_strings_and_json_numbers() {
+        let r = report(r#""quoted":"12.5","float":12.5,"int":12"#, "", "");
+        for metric in ["meta.quoted", "meta.float"] {
+            assert!(check(&r, &format!("{metric} >= 12.5")).is_ok(), "{metric}");
+            assert!(check(&r, &format!("{metric} <= 12.4")).is_err(), "{metric}");
+        }
+        assert!(check(&r, "meta.int <= 12").is_ok());
+    }
+
+    #[test]
+    fn missing_meta_and_gauges_fail() {
+        let r = report(
+            r#""tool":"serve_bench""#,
+            "",
+            r#""caf.snap.restore_us":41000"#,
+        );
+        let error = check(&r, "meta.restart_speedup >= 10").unwrap_err();
+        assert!(error.contains("`meta.restart_speedup` missing"), "{error}");
+        assert!(
+            check(&r, "meta.tool >= 0").is_err(),
+            "a non-numeric meta fails"
+        );
+        let error = check(&r, "gauges.caf.snap.restore_us_p99 <= 1").unwrap_err();
+        assert!(
+            error.contains("`gauges.caf.snap.restore_us_p99` missing"),
+            "{error}"
+        );
+        assert!(check(&r, "gauges.caf.snap.restore_us <= 50000").is_ok());
+        assert!(check(&r, "gauges.caf.snap.restore_us <= 40000").is_err());
+    }
+
+    #[test]
+    fn slo_max_burn_gates_the_worst_route_with_traffic() {
+        let counters = r#""caf.slo.healthz.latency_burn":3,"caf.slo.healthz.requests":4,
+            "caf.slo.v1.q3.requests":0,"caf.slo.v1.q3.error_burn":0,
+            "caf.slo.v1.table2.error_burn":1,"caf.slo.v1.table2.latency_burn":1,
+            "caf.slo.v1.table2.requests":10"#;
+        let r = report("", counters, "");
+        let error = check(&r, "slo.max_burn <= 0.5").unwrap_err();
+        assert!(error.contains("worst route healthz: 3/4"), "{error}");
+        assert!(check(&r, "slo.max_burn <= 0.75").is_ok());
+
+        let idle = report("", r#""caf.slo.v1.q3.requests":0"#, "");
+        let error = check(&idle, "slo.max_burn <= 0.5").unwrap_err();
+        assert!(error.contains("saw traffic"), "{error}");
+    }
+
+    #[test]
+    fn malformed_gates_are_rejected_with_a_message() {
+        for (expr, needle) in [
+            ("spans.index.build >= 1", "unknown metric"),
+            ("slo.min_burn <= 1", "unknown metric"),
+            ("meta. >= 1", "unknown metric"),
+            ("meta.speedup > 1", "unknown op"),
+            ("meta.speedup == 1", "unknown op"),
+            ("meta.speedup >= fast", "not a number"),
+            ("meta.speedup >= NaN", "not a number"),
+            ("meta.speedup >=", "is not `<metric> <op> <number>`"),
+            ("", "is not `<metric> <op> <number>`"),
+        ] {
+            let error = Gate::parse(expr)
+                .err()
+                .unwrap_or_else(|| panic!("{expr:?} parsed"));
+            assert!(error.contains(needle), "{expr:?}: {error}");
+        }
+    }
 }

@@ -36,7 +36,6 @@
 //! target — see EXPERIMENTS.md for paper-vs-measured.
 
 use caf_bench::{campaign_config, format_cdf, format_pairs, pct, Fixture};
-use caf_bqt::QueryOutcome;
 use caf_core::compliance::SpeedBand;
 use caf_core::coverage::CoverageSeries;
 use caf_core::q3::{BlockComparison, BlockType, ComparisonOutcome};
@@ -1582,11 +1581,4 @@ fn ext_competition(analysis: &Q3Analysis) {
          the paper's 'foster competition' recommendation.",
         100.0 * cf.full_treatment_gain()
     );
-}
-
-/// §7 policy counterfactual placeholder anchor.
-// Silence an unused-import lint when the Q3 queries report is disabled.
-#[allow(dead_code)]
-fn _outcome_label(outcome: &QueryOutcome) -> &'static str {
-    outcome.label()
 }

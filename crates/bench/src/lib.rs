@@ -152,6 +152,22 @@ pub fn campaign_config(seed: u64) -> CampaignConfig {
     }
 }
 
+/// Writes a bench's run report as one line of compact JSON to `file` in
+/// `$CAF_BENCH_DIR`, or at the repository root when it is unset (CI points
+/// it at an artifact directory so smoke runs never dirty the committed
+/// baselines), then reports the path and `summary` on stderr.
+pub fn write_bench_report(file: &str, report: &caf_obs::RunReport, summary: &str) {
+    let dir = std::env::var("CAF_BENCH_DIR")
+        .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../..").to_string());
+    let path = std::path::Path::new(&dir).join(file);
+    let mut line = report.to_json();
+    line.push('\n');
+    match std::fs::write(&path, line) {
+        Ok(()) => eprintln!("wrote bench summary to {} ({summary})", path.display()),
+        Err(error) => eprintln!("cannot write {}: {error}", path.display()),
+    }
+}
+
 /// Formats an ECDF as `x<TAB>F(x)` rows at the given resolution.
 pub fn format_cdf(label: &str, values: &[f64], points: usize) -> String {
     let mut out = format!("# CDF: {label} (n={})\n", values.len());

@@ -23,7 +23,7 @@
 //! * [`prometheus`] — [`render_prometheus`] text exposition of the
 //!   registry (`/metrics?format=prometheus`).
 //! * [`slo`] — per-route [`Slo`] objects whose burn counters
-//!   `metrics_check --max-slo-burn` gates in CI.
+//!   `metrics_check --gate 'slo.max_burn <= FRAC'` gates in CI.
 //!
 //! # The zero-overhead contract
 //!

@@ -11,7 +11,7 @@
 //!
 //! The budget itself is published once as the gauge
 //! `caf.slo.<name>.budget_ppm`. Burn *fraction* is derived by readers —
-//! `metrics_check --max-slo-burn` fails CI when
+//! `metrics_check --gate 'slo.max_burn <= FRAC'` fails CI when
 //! `(latency_burn + error_burn) / requests` exceeds the allowed
 //! fraction for any route with traffic — so the hot path stays three
 //! relaxed atomic adds, all gated on the global telemetry flag.

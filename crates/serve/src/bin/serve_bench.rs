@@ -12,11 +12,14 @@
 //!   the single-flight invariant (exactly one computation ran);
 //! * `trace_overhead_pct` — warm p50 with the flight recorder attached
 //!   vs. without, as a percentage (sub-noise differences clamp to 0);
-//!   `metrics_check --max-trace-overhead-pct` gates it in CI.
+//!   `metrics_check --gate 'meta.trace_overhead_pct <= 5.0'` gates it
+//!   in CI.
 //! * `snapshot_restore_ms` — restart-to-first-200 from a snapshot
 //!   (fresh app + `--snapshot-dir`, byte-compared against the cold
-//!   build); `metrics_check --min-restart-speedup` gates the ratio
-//!   `cold_ms / snapshot_restore_ms` in CI.
+//!   build).
+//! * `restart_speedup` — `cold_ms / snapshot_restore_ms` as recorded,
+//!   left out unless that restore time is positive; `metrics_check --gate
+//!   'meta.restart_speedup >= 10.0'` gates it in CI.
 //! * `disk_tier_hit_ratio` — fraction of cache misses that the disk
 //!   LRU tier absorbed in an A/B/A eviction-promotion pass under a
 //!   capacity-1 cache.
@@ -245,7 +248,18 @@ fn main() {
     put("clients", clients.to_string());
     put("requests_per_client", per_client.to_string());
     put("total_requests", total.to_string());
-    put("cold_ms", format!("{:.1}", cold.as_secs_f64() * 1e3));
+    let cold_ms = format!("{:.1}", cold.as_secs_f64() * 1e3);
+    let restore_ms = format!("{snapshot_restore_ms:.1}");
+    // The ratio of the two walls as recorded, at full precision, so the
+    // restart gate reads exactly what the recorded values imply. Left out
+    // unless the recorded restore time is positive, so that gate fails as
+    // "missing" rather than on a meaningless ratio.
+    let recorded = |ms: &str| ms.parse::<f64>().expect("a formatted wall parses");
+    if recorded(&restore_ms) > 0.0 {
+        let speedup = recorded(&cold_ms) / recorded(&restore_ms);
+        put("restart_speedup", speedup.to_string());
+    }
+    put("cold_ms", cold_ms);
     put("wall_s", format!("{:.3}", wall.as_secs_f64()));
     put("throughput_rps", format!("{throughput:.1}"));
     put("p50_ms", format!("{:.2}", quantile(0.50)));
@@ -254,24 +268,17 @@ fn main() {
     put("cache_hit_ratio", format!("{hit_ratio:.3}"));
     put("trace_probe_requests", probes.to_string());
     put("trace_overhead_pct", format!("{trace_overhead_pct:.1}"));
-    put("snapshot_restore_ms", format!("{snapshot_restore_ms:.1}"));
+    put("snapshot_restore_ms", restore_ms);
     put("disk_tier_hit_ratio", format!("{disk_tier_hit_ratio:.3}"));
 
-    let report = caf_obs::RunReport::collect(meta);
-    let default_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let dir = std::env::var("CAF_BENCH_DIR").unwrap_or_else(|_| default_dir.to_string());
-    let path = std::path::Path::new(&dir).join("BENCH_serve.json");
-    let mut line = report.to_json();
-    line.push('\n');
-    match std::fs::write(&path, line) {
-        Ok(()) => eprintln!(
-            "wrote bench summary to {} ({throughput:.0} req/s warm, p99 {:.2} ms, \
-             cold {:.0} ms, hit ratio {hit_ratio:.3}, restore {snapshot_restore_ms:.1} ms, \
-             tier hit ratio {disk_tier_hit_ratio:.3})",
-            path.display(),
+    caf_bench::write_bench_report(
+        "BENCH_serve.json",
+        &caf_obs::RunReport::collect(meta),
+        &format!(
+            "{throughput:.0} req/s warm, p99 {:.2} ms, cold {:.0} ms, hit ratio {hit_ratio:.3}, \
+             restore {snapshot_restore_ms:.1} ms, tier hit ratio {disk_tier_hit_ratio:.3}",
             quantile(0.99),
             cold.as_secs_f64() * 1e3,
         ),
-        Err(error) => eprintln!("cannot write {}: {error}", path.display()),
-    }
+    );
 }

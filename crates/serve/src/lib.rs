@@ -8,7 +8,8 @@
 //!
 //! * `GET /healthz` — liveness probe.
 //! * `GET /metrics` — a `caf-obs` [`RunReport`](caf_obs::RunReport)
-//!   for the server process, gated by `metrics_check` in CI.
+//!   for the server process, gated in CI by `metrics_check --gate
+//!   'slo.max_burn <= 0.5'` (the worst per-route SLO burn).
 //! * `GET /v1/{serviceability,compliance,q3,table2}` — canonical
 //!   artifact JSON, **byte-identical** to what
 //!   `repro --artifacts DIR` writes for the same `(seed, scale)`

@@ -549,8 +549,8 @@ impl App {
         let slow_us = config.slow_ms.saturating_mul(1_000);
         let recorder = Arc::new(FlightRecorder::new(config.trace_capacity, slow_us));
         // Every route gets the same latency target (the slow-request
-        // threshold) and a 10% error budget; `metrics_check
-        // --max-slo-burn` turns the resulting burn fraction into a gate.
+        // threshold) and a 10% error budget; `metrics_check --gate
+        // 'slo.max_burn <= FRAC'` turns the worst burn fraction into a gate.
         let slos = ROUTES
             .iter()
             .map(|&(_, label, short)| (label, Slo::new(short, slow_us, 100_000)))
