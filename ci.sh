@@ -24,6 +24,7 @@
 # `repro_artifacts/*.csv`), and the serving-layer gate: `caf-serve` is started on an ephemeral
 # port at two HTTP worker counts, its `/v1/table2` response is
 # byte-compared against the golden artifact the same repro run wrote,
+# one curl fetching it twice must reuse its connection (keep-alive),
 # its `/v1/debug/traces` flight recorder must show the request's span
 # path (route -> cache lookup -> render), its `/metrics` report must
 # pass the full metrics_check gate including the per-route SLO burn
@@ -293,6 +294,21 @@ for http_workers in 1 4; do
     -o "$ci_out/served_table2.$http_workers.json"
   cmp "$ci_out/served_table2.$http_workers.json" "$golden/table2.json"
   echo "    /v1/table2 is byte-identical to the repro golden"
+
+  # Keep-alive: one curl invocation fetching /v1/table2 twice must open
+  # one connection and reuse it for the second request, and both bodies
+  # must still equal the golden.
+  table2_url="http://$addr/v1/table2?seed=$serve_seed&scale=150"
+  connects=$(curl -fsS -w '%{num_connects}\n' \
+    "$table2_url" -o "$ci_out/reused_table2.a.$http_workers.json" \
+    "$table2_url" -o "$ci_out/reused_table2.b.$http_workers.json")
+  if [ "$connects" != "$(printf '1\n0')" ]; then
+    echo "two requests on one curl made connects '$connects', not 1 then 0" >&2
+    exit 1
+  fi
+  cmp "$ci_out/reused_table2.a.$http_workers.json" "$golden/table2.json"
+  cmp "$ci_out/reused_table2.b.$http_workers.json" "$golden/table2.json"
+  echo "    a reused connection serves /v1/table2 twice, byte-identical"
 
   # Warm requests: the SLO burn gate below must see cheap cache hits,
   # not just the one slow cold build.

@@ -2,10 +2,15 @@
 //! POST requests the serving API accepts and to write deterministic
 //! responses, with no external dependencies.
 //!
-//! Every response is `Connection: close` — one request per connection
-//! keeps the worker loop trivially bounded and makes the byte-identity
-//! contract easy to state: the response *body* for a `/v1/*` endpoint
-//! is exactly the artifact file `repro --artifacts` writes.
+//! Connections are persistent (HTTP/1.1 keep-alive): the server reads
+//! requests off one connection in a loop and frames every response by
+//! `Content-Length`. A request ends its connection — its response says
+//! `Connection: close` — when the client sent `Connection: close` or
+//! spoke HTTP/1.0 ([`Request::keep_alive`]), when it failed to parse,
+//! or when the server decides to close (see `server.rs`). Framing never
+//! touches the byte-identity contract: the response *body* for a
+//! `/v1/*` endpoint is exactly the artifact file `repro --artifacts`
+//! writes.
 
 use std::io::{BufRead, Read, Write};
 
@@ -32,6 +37,10 @@ pub struct Request {
     pub headers: Vec<(String, String)>,
     /// Request body (empty unless the request carried `Content-Length`).
     pub body: Vec<u8>,
+    /// False when the request asks to end the connection after its
+    /// response: an `HTTP/1.0` request line or a `Connection: close`
+    /// header.
+    pub keep_alive: bool,
 }
 
 impl Request {
@@ -159,6 +168,10 @@ pub fn parse_request(stream: &mut impl BufRead) -> Result<Request, ParseError> {
         Some((p, q)) => (p, Some(q)),
         None => (target, None),
     };
+    let keep_alive = version == "HTTP/1.1"
+        && !headers.iter().any(|(k, v)| {
+            k == "connection" && v.split(',').any(|t| t.trim().eq_ignore_ascii_case("close"))
+        });
     let path = percent_decode(raw_path, false)?;
     let mut query = Vec::new();
     if let Some(raw_query) = raw_query {
@@ -173,6 +186,7 @@ pub fn parse_request(stream: &mut impl BufRead) -> Result<Request, ParseError> {
         query,
         headers,
         body,
+        keep_alive,
     })
 }
 
@@ -206,8 +220,8 @@ fn percent_decode(raw: &str, plus_is_space: bool) -> Result<String, ParseError> 
     String::from_utf8(out).map_err(|_| bad(format!("target is not UTF-8: {raw:?}")))
 }
 
-/// A response ready to serialize. Responses are always
-/// `Connection: close`.
+/// A response ready to serialize. Whether it keeps its connection open
+/// is the server's call, made at [`Response::write_to`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Response {
     /// HTTP status code.
@@ -279,15 +293,21 @@ impl Response {
         self
     }
 
-    /// Serializes the response to `out` (status line, headers, body).
-    pub fn write_to(&self, out: &mut impl Write) -> std::io::Result<()> {
+    /// Serializes the response to `out` (status line, headers, body) in
+    /// one write, announcing `Connection: keep-alive` or
+    /// `Connection: close`. One write matters on a reused connection:
+    /// a head and body sent apart can meet Nagle's algorithm and the
+    /// peer's delayed ACK, stalling the body for tens of milliseconds.
+    pub fn write_to(&self, out: &mut impl Write, keep_alive: bool) -> std::io::Result<()> {
         let reason = reason_phrase(self.status);
+        let connection = if keep_alive { "keep-alive" } else { "close" };
         let mut head = format!(
-            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
+            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
             self.status,
             reason,
             self.content_type,
-            self.body.len()
+            self.body.len(),
+            connection
         );
         for (name, value) in &self.headers {
             head.push_str(name);
@@ -296,8 +316,9 @@ impl Response {
             head.push_str("\r\n");
         }
         head.push_str("\r\n");
-        out.write_all(head.as_bytes())?;
-        out.write_all(&self.body)?;
+        let mut bytes = head.into_bytes();
+        bytes.extend_from_slice(&self.body);
+        out.write_all(&bytes)?;
         out.flush()
     }
 }
@@ -346,11 +367,16 @@ mod tests {
 
     #[test]
     fn reads_post_bodies_bounded_by_content_length() {
-        let req =
-            parse("POST /v1/challenge HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nhelloEXTRA")
-                .unwrap();
+        // Bytes past the body are the next pipelined request, left in
+        // the reader.
+        let mut reader = BufReader::new(
+            "POST /v1/challenge HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nhelloGET /b HTTP/1.1\r\n\r\n"
+                .as_bytes(),
+        );
+        let req = parse_request(&mut reader).unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.body, b"hello");
+        assert_eq!(parse_request(&mut reader).unwrap().path, "/b");
 
         // A declared body larger than the cap is rejected before any
         // read; a truncated body is a 400.
@@ -400,20 +426,43 @@ mod tests {
     }
 
     #[test]
+    fn keep_alive_follows_version_and_connection_header() {
+        for (head, keep_alive) in [
+            ("GET /x HTTP/1.1\r\n\r\n", true),
+            ("GET /x HTTP/1.1\r\nConnection: keep-alive\r\n\r\n", true),
+            ("GET /x HTTP/1.1\r\nConnection: Close\r\n\r\n", false),
+            (
+                "GET /x HTTP/1.1\r\nconnection: upgrade, close\r\n\r\n",
+                false,
+            ),
+            ("GET /x HTTP/1.0\r\n\r\n", false),
+            ("GET /x HTTP/1.0\r\nConnection: keep-alive\r\n\r\n", false),
+        ] {
+            assert_eq!(parse(head).unwrap().keep_alive, keep_alive, "{head:?}");
+        }
+    }
+
+    #[test]
     fn response_bytes_are_exact() {
+        let etagged =
+            || Response::json(b"{}\n".to_vec()).with_header("ETag", "\"abc\"".to_string());
         let mut out = Vec::new();
-        Response::json(b"{}\n".to_vec())
-            .with_header("ETag", "\"abc\"".to_string())
-            .write_to(&mut out)
-            .unwrap();
+        etagged().write_to(&mut out, false).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert_eq!(
             text,
             "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 3\r\nConnection: close\r\nETag: \"abc\"\r\n\r\n{}\n"
         );
+        let mut out = Vec::new();
+        etagged().write_to(&mut out, true).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert_eq!(
+            text,
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 3\r\nConnection: keep-alive\r\nETag: \"abc\"\r\n\r\n{}\n"
+        );
         let mut err = Vec::new();
         Response::error(503, "queue full")
-            .write_to(&mut err)
+            .write_to(&mut err, false)
             .unwrap();
         let text = String::from_utf8(err).unwrap();
         assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));

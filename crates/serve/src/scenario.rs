@@ -1660,6 +1660,7 @@ mod tests {
                 .collect(),
             headers: Vec::new(),
             body: Vec::new(),
+            keep_alive: true,
         }
     }
 
@@ -1670,6 +1671,7 @@ mod tests {
             query: Vec::new(),
             headers: Vec::new(),
             body: body.as_bytes().to_vec(),
+            keep_alive: true,
         }
     }
 
